@@ -14,11 +14,19 @@
 // by >= 1.5x on at least one large shape (K=N>=1024, M>=8 — the regime the
 // old path served at scalar speed), and (b) the tuned config is no slower
 // than the default on at least half the shapes.
+//
+// A second table times the shapes the served LSTMs run (M = 1, 4, 8 rows
+// against their gate weights) on the two routes a constant weight can
+// take: the [N, K] residue-dispatch tiles and the packed-panel kernel
+// (RunPanels, what compiled models use), both single-threaded and
+// bit-identical. They land in BENCH_kernels.json under "served"; no CI
+// gate reads them.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -70,6 +78,44 @@ ShapeResult RunShape(int64_t m, int64_t n, int64_t k, bool large,
   std::vector<double> best = bench::MeasureInterleaved(systems, /*rounds=*/4);
   return ShapeResult{m,       n,       k,       large,  best[0],
                      best[1], best[2], best[3], tuned};
+}
+
+struct ServedResult {
+  int64_t m, n, k;
+  double residue_s, packed_s;
+};
+
+ServedResult RunServedShape(int64_t m, int64_t n, int64_t k) {
+  support::Rng rng(11);
+  runtime::NDArray x =
+      runtime::NDArray::Empty({m, k}, runtime::DataType::Float32());
+  runtime::NDArray w =
+      runtime::NDArray::Empty({n, k}, runtime::DataType::Float32());
+  runtime::NDArray out =
+      runtime::NDArray::Empty({m, n}, runtime::DataType::Float32());
+  x.FillUniform(rng);
+  w.FillUniform(rng);
+  runtime::NDArray panels = codegen::PackDenseWeight(w);
+  codegen::DenseDispatchTable table(codegen::kTileRows);
+  const float* xp = x.data<float>();
+  float* op = out.data<float>();
+  // One call is a few microseconds: time batches of calls.
+  const int reps = static_cast<int>(
+      std::max<int64_t>(1, (int64_t{1} << 24) / (m * n * k)));
+  std::vector<std::function<void()>> systems = {
+      [&] {
+        for (int i = 0; i < reps; ++i) {
+          table.Run(xp, w.data<float>(), op, m, n, k);
+        }
+      },
+      [&] {
+        for (int i = 0; i < reps; ++i) {
+          table.RunPanels(xp, panels.data<float>(), op, m, n, k, nullptr);
+        }
+      },
+  };
+  std::vector<double> best = bench::MeasureInterleaved(systems, /*rounds=*/8);
+  return ServedResult{m, n, k, best[0] / reps, best[1] / reps};
 }
 
 }  // namespace
@@ -137,6 +183,27 @@ int main(int argc, char** argv) {
       "slower than default on %d/%zu shapes (target >= half)\n",
       max_large_speedup, tuned_wins, results.size());
 
+  std::printf(
+      "\nServed shapes, constant weights: [N, K] residue tiles vs packed "
+      "panels\n(single-threaded, bit-identical; %s panel kernels)\n",
+      codegen::BestPanelKernels().name);
+  std::printf("%-20s %11s %11s %8s\n", "shape (MxNxK)", "residue", "packed",
+              "speedup");
+  std::vector<ServedResult> served;
+  for (int64_t m : {1, 4, 8}) {
+    for (auto [n, k] : {std::pair<int64_t, int64_t>{512, 64},
+                        {512, 128},
+                        {1024, 128},
+                        {1024, 256}}) {
+      ServedResult r = RunServedShape(m, n, k);
+      served.push_back(r);
+      std::printf("%4lldx%-5lldx%-8lld %9.2fus %9.2fus %7.2fx\n",
+                  static_cast<long long>(m), static_cast<long long>(n),
+                  static_cast<long long>(k), r.residue_s * 1e6,
+                  r.packed_s * 1e6, r.residue_s / r.packed_s);
+    }
+  }
+
   if (write_json) {
     FILE* f = std::fopen("BENCH_kernels.json", "w");
     if (f == nullptr) {
@@ -161,6 +228,19 @@ int main(int argc, char** argv) {
           r.parallel_s * 1e3, r.tuned_config.ToString().c_str(),
           r.dispatch_s / std::min({r.blocked_s, r.tuned_s, r.parallel_s}),
           i + 1 < results.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"packed_isa\": \"%s\",\n  \"served\": [\n",
+                 codegen::BestPanelKernels().name);
+    for (size_t i = 0; i < served.size(); ++i) {
+      const ServedResult& r = served[i];
+      std::fprintf(f,
+                   "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
+                   "\"residue_us\": %.3f, \"packed_us\": %.3f, "
+                   "\"speedup\": %.3f}%s\n",
+                   static_cast<long long>(r.m), static_cast<long long>(r.n),
+                   static_cast<long long>(r.k), r.residue_s * 1e6,
+                   r.packed_s * 1e6, r.residue_s / r.packed_s,
+                   i + 1 < served.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -39,6 +39,13 @@ NDArray StaticBERTRuntime::Buffer(runtime::ShapeVec shape) {
 void StaticBERTRuntime::AddStep(const std::string& kernel,
                                 std::vector<NDArray> inputs,
                                 std::vector<NDArray> outputs, Attrs attrs) {
+  if (kernel == "fused_dense") {
+    // The weights are constants, as in the compiled VM: run them from the
+    // same packed panels (pass::PackDenseWeights), so Table 4 compares the
+    // two runtimes rather than two dense kernels.
+    attrs.Set(codegen::kPanelWeightAttr, inputs[1].shape()[0]);
+    inputs[1] = codegen::PackDenseWeight(inputs[1]);
+  }
   steps_.push_back(Step{kernel, std::move(inputs), std::move(outputs),
                         std::move(attrs)});
 }

@@ -19,6 +19,31 @@
 //  - DenseSymbolicChecked: one generic kernel where every tile re-derives
 //    `rows = min(kTileRows, M - i)` and loops with a runtime trip count —
 //    what symbolic codegen emits when it cannot specialize.
+//
+// Two weight layouts, routed by what the compiler can see:
+//  - Constant weights (every nn.dense / fused_dense whose weight is a
+//    compile-time constant — all model weights) are packed once at compile
+//    time (pass::PackDenseWeights) from [N, K] into 16-column panels
+//    [ceil(N/16), K, 16] and run the panel kernels declared at the bottom of
+//    this file: output columns in vector lanes, 8-row blocks with the same
+//    compile-time residue tails, panel loop outermost so a panel stays in L1
+//    while every row block streams past it. Large calls split their panel
+//    range across the kernel pool.
+//  - Non-constant weights (dense on activations, fused_batch_matmul) keep
+//    the [N, K] kernels above; only they still take the cache-blocked
+//    route and its pool partitioning past the size thresholds in
+//    dispatch.h (tuner.h, parallel.h).
+//
+// Bit-identity: every specialized path, in either layout, computes each
+// (row, column) in exactly MicroRow1F32's order, and a residue the
+// dispatch table leaves uncovered runs DenseSymbolicChecked's order in
+// either layout, with no fused multiply-add. The no-FMA rule is pinned in the source of each vector
+// kernel (target attributes without FMA for AVX2, and
+// optimize("fp-contract=off") on the panel kernels, whose AVX-512 target
+// implies FMA) rather than in build flags: GCC's default
+// -ffp-contract=fast would otherwise turn a separate multiply and add into
+// a fused one, and every build of src/ (including ones with their own
+// flags) must produce the same bits.
 #pragma once
 
 #include <algorithm>
@@ -146,6 +171,55 @@ void DenseStatic(const float* x, const float* w, float* out) {
     MicroRowsF32<R>(x + q * kTileRows * K, w, out + q * kTileRows * N, N, K, N);
   }
 }
+
+// ---- panel kernels (constant weights) --------------------------------------
+
+/// Output columns per weight panel: one AVX-512 register of float32.
+inline constexpr int64_t kPanelCols = 16;
+
+/// Call attribute marking an nn.dense / fused_dense whose weight operand
+/// is packed panels; its value is the output column count N, which the
+/// panel shape no longer carries exactly.
+inline constexpr char kPanelWeightAttr[] = "panel_n";
+
+/// Number of panels a weight with `n_cols` output columns packs into.
+inline int64_t PanelCount(int64_t n_cols) {
+  return (n_cols + kPanelCols - 1) / kPanelCols;
+}
+
+/// Packs w[N, K] into panels[PanelCount(N), K, kPanelCols]: element
+/// (p, k, j) holds w[p * kPanelCols + j, k], and the lanes of the last
+/// panel past N are zero (computed, never stored).
+void PackDensePanels(const float* w, int64_t n_cols, int64_t k_depth,
+                     float* panels);
+
+/// x[M, K] · (packed w)ᵀ -> out[M, N], restricted to the output columns of
+/// panels [p_begin, p_end). Panels write disjoint columns, which is what
+/// lets the kernel pool split a call by panel range without changing a bit.
+using PanelDenseFn = void (*)(const float* x, const float* panels, float* out,
+                              int64_t m, int64_t n, int64_t k,
+                              int64_t p_begin, int64_t p_end);
+
+enum class PanelIsa : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// One ISA's panel kernel family. residue[r] serves M = kTileRows*q + r
+/// with r baked in at compile time, in MicroRow1F32's order; `symbolic`
+/// takes a runtime row count per tile, in DenseSymbolicChecked's order, for
+/// the residues a dispatch table leaves uncovered. All three ISAs produce
+/// identical bits.
+struct PanelDenseKernels {
+  const char* name;
+  PanelDenseFn residue[kTileRows];
+  PanelDenseFn symbolic;
+};
+
+/// The kernel family for `isa`, or nullptr when this build or CPU cannot
+/// run it (checked at runtime). kScalar is always available.
+const PanelDenseKernels* PanelKernelsFor(PanelIsa isa);
+
+/// The widest family this CPU supports: AVX-512F, else AVX2, else scalar.
+/// Resolved once per process.
+const PanelDenseKernels& BestPanelKernels();
 
 }  // namespace codegen
 }  // namespace nimble

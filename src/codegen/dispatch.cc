@@ -328,6 +328,61 @@ void DenseDispatchTable::Run(const float* x, const float* w, float* out,
   }
 }
 
+void DenseDispatchTable::RunPanels(const float* x, const float* panels,
+                                   float* out, int64_t m, int64_t n, int64_t k,
+                                   KernelPool* pool) const {
+  int r = static_cast<int>(m % kTileRows);
+  stats_.per_residue[r].fetch_add(1, std::memory_order_relaxed);
+  const PanelDenseKernels& kernels = BestPanelKernels();
+  PanelDenseFn fn = kernels.symbolic;
+  if (table_[r] != nullptr) {
+    stats_.specialized_calls.fetch_add(1, std::memory_order_relaxed);
+    fn = kernels.residue[r];
+  } else {
+    stats_.fallback_calls.fetch_add(1, std::memory_order_relaxed);
+  }
+  int64_t num_panels = PanelCount(n);
+  if (pool != nullptr && pool->num_threads() > 1 && num_panels > 1 &&
+      m * n * k >= DenseParallelThreshold()) {
+    int64_t tasks =
+        std::min<int64_t>(num_panels, 4 * int64_t{pool->num_threads()});
+    bool ran = pool->TryParallelFor(tasks, [&](int64_t t) {
+      fn(x, panels, out, m, n, k, t * num_panels / tasks,
+         (t + 1) * num_panels / tasks);
+    });
+    if (ran) {
+      stats_.parallel_calls.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
+  fn(x, panels, out, m, n, k, 0, num_panels);
+}
+
+void DenseDispatchTable::RunPanels(const runtime::NDArray& x,
+                                   const runtime::NDArray& panels,
+                                   const runtime::NDArray& out,
+                                   KernelPool* pool) const {
+  NIMBLE_CHECK_EQ(x.ndim(), 2);
+  NIMBLE_CHECK_EQ(panels.ndim(), 3);
+  NIMBLE_CHECK_EQ(out.ndim(), 2);
+  int64_t m = x.shape()[0], k = x.shape()[1], n = out.shape()[1];
+  NIMBLE_CHECK_EQ(out.shape()[0], m);
+  NIMBLE_CHECK_EQ(panels.shape()[0], PanelCount(n)) << "dense: panel count";
+  NIMBLE_CHECK_EQ(panels.shape()[1], k) << "dense: contraction mismatch";
+  NIMBLE_CHECK_EQ(panels.shape()[2], kPanelCols);
+  RunPanels(x.data<float>(), panels.data<float>(), out.data<float>(), m, n, k,
+            pool);
+}
+
+runtime::NDArray PackDenseWeight(const runtime::NDArray& w) {
+  NIMBLE_CHECK_EQ(w.ndim(), 2);
+  int64_t n = w.shape()[0], k = w.shape()[1];
+  runtime::NDArray panels = runtime::NDArray::Empty(
+      {PanelCount(n), k, kPanelCols}, runtime::DataType::Float32());
+  PackDensePanels(w.data<float>(), n, k, panels.data<float>());
+  return panels;
+}
+
 void DenseDispatchTable::Run(const runtime::NDArray& x, const runtime::NDArray& w,
                              const runtime::NDArray& out) const {
   Run(x, w, out, nullptr, nullptr);

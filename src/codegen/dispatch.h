@@ -44,7 +44,10 @@ inline constexpr int64_t kDenseBlockedMinMacs = int64_t{1} << 20;
 
 /// Counters are atomic so concurrent VM workers (src/serve/) can share the
 /// global table; increments use relaxed ordering — they are observability,
-/// not synchronization.
+/// not synchronization. Panel (constant-weight) calls count in
+/// specialized/fallback/per_residue like any other call, and in
+/// parallel_calls when the pool split them; blocked_calls counts only the
+/// cache-blocked route, which panel calls never take.
 struct DispatchStats {
   std::atomic<int64_t> specialized_calls{0};
   std::atomic<int64_t> fallback_calls{0};
@@ -108,6 +111,22 @@ class DenseDispatchTable {
            const runtime::NDArray& out, const DenseConfig* config,
            KernelPool* pool) const;
 
+  /// Constant-weight entry point: x[M,K] · w[N,K]ᵀ -> out[M,N] with w
+  /// pre-packed into panels [PanelCount(N), K, kPanelCols]
+  /// (PackDensePanels; pass::PackDenseWeights does it at compile time). A
+  /// covered residue runs the CPU's panel kernel for that residue and an
+  /// uncovered one its symbolic kernel — the same kernel-family split as
+  /// Run, so every row's bits match the unpacked route. Calls of at least
+  /// DenseParallelThreshold() multiply-accumulates split their panels
+  /// across `pool` (nullptr -> single-threaded); panels write disjoint
+  /// columns, so the bits do not change.
+  void RunPanels(const float* x, const float* panels, float* out, int64_t m,
+                 int64_t n, int64_t k, KernelPool* pool) const;
+
+  /// NDArray form: N is the output's column count.
+  void RunPanels(const runtime::NDArray& x, const runtime::NDArray& panels,
+                 const runtime::NDArray& out, KernelPool* pool) const;
+
   int num_variants() const { return num_variants_; }
   DispatchStats& stats() const { return stats_; }
 
@@ -119,6 +138,10 @@ class DenseDispatchTable {
 
 /// Returns the residue-specialized kernel for residue r (r in [0, 8)).
 DenseKernelFn ResidueKernel(int r);
+
+/// A fresh float32 [PanelCount(N), K, kPanelCols] copy of w[N, K] in the
+/// panel layout RunPanels reads.
+runtime::NDArray PackDenseWeight(const runtime::NDArray& w);
 
 }  // namespace codegen
 }  // namespace nimble

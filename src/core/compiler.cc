@@ -40,6 +40,7 @@ CompileResult Compile(ir::Module& mod, const CompileOptions& options) {
   pass::ToANF(&mod);
   pass::InferTypes(&mod);
   if (options.fuse_ops) result.fusion = pass::FuseOps(&mod);
+  result.packing = pass::PackDenseWeights(&mod);
   pass::DeadCodeElim(&mod);
   pass::ManifestAlloc(&mod);
   result.devices = pass::DevicePlacement(&mod, options.kernel_device);

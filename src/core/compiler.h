@@ -1,8 +1,9 @@
 // Public compilation entry point: the full Nimble pipeline of Figure 2.
 //
 //   ir::Module  --[TypeInfer, FoldConstants, FuseLSTMCell, ToANF,
-//                  TypeInfer, FuseOps, DCE, ManifestAlloc,
-//                  DevicePlacement, MemoryPlan]-->  vm::Executable
+//                  TypeInfer, FuseOps, PackDenseWeights, DCE,
+//                  ManifestAlloc, DevicePlacement, MemoryPlan]-->
+//   vm::Executable
 //
 // Typical use:
 //
@@ -79,6 +80,7 @@ struct CompileOptions {
 struct CompileResult {
   std::shared_ptr<vm::Executable> executable;
   pass::FusionStats fusion;
+  pass::PackStats packing;
   int lstm_cells_fused = 0;
   pass::MemoryPlanStats memory;
   pass::DevicePlaceStats devices;

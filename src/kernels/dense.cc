@@ -1,6 +1,8 @@
 // nn.dense kernel: routes through the caller's dispatch table
 // (KernelContext::dense_dispatch — the executable's table inside the VM) so
-// dynamic-M workloads exercise residue dispatch (§4.5).
+// dynamic-M workloads exercise residue dispatch (§4.5). A weight the
+// compiler packed into panels (kPanelWeightAttr set) takes RunPanels;
+// anything else takes the [N, K] route.
 #include "src/codegen/dispatch.h"
 #include "src/kernels/registry.h"
 
@@ -37,10 +39,14 @@ void RegisterDenseKernels() {
   KernelRegistry::Global()->Register(
       "nn.dense",
       ContextKernelFn([](const std::vector<NDArray>& in,
-                         const std::vector<NDArray>& out, const ir::Attrs&,
-                         const KernelContext& ctx) {
-        ctx.dense_dispatch->Run(in[0], in[1], out[0], ctx.dense_config,
-                                ctx.pool);
+                         const std::vector<NDArray>& out,
+                         const ir::Attrs& attrs, const KernelContext& ctx) {
+        if (attrs.Has(codegen::kPanelWeightAttr)) {
+          ctx.dense_dispatch->RunPanels(in[0], in[1], out[0], ctx.pool);
+        } else {
+          ctx.dense_dispatch->Run(in[0], in[1], out[0], ctx.dense_config,
+                                  ctx.pool);
+        }
       }));
   KernelRegistry::Global()->Register("nn.dense_ref", DenseReference);
 

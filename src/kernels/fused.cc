@@ -13,6 +13,7 @@
 // Kernels:
 //   fused_elemwise          inputs = (root, extras...)            out = chain(root)
 //   fused_dense             inputs = (x, w, extras...)            out = chain(x·wᵀ)
+//                           (w may be packed panels, see nn.dense)
 //   fused_batch_matmul      inputs = (a, b, extras...)            out = chain(a·bᵀ)
 #include "src/codegen/dispatch.h"
 #include "src/kernels/elementwise.h"
@@ -97,7 +98,11 @@ void FusedElemwise(const std::vector<NDArray>& in,
 void FusedDense(const std::vector<NDArray>& in, const std::vector<NDArray>& out,
                 const ir::Attrs& attrs, const KernelContext& ctx) {
   auto steps = DecodeSteps(attrs);
-  ctx.dense_dispatch->Run(in[0], in[1], out[0], ctx.dense_config, ctx.pool);
+  if (attrs.Has(codegen::kPanelWeightAttr)) {
+    ctx.dense_dispatch->RunPanels(in[0], in[1], out[0], ctx.pool);
+  } else {
+    ctx.dense_dispatch->Run(in[0], in[1], out[0], ctx.dense_config, ctx.pool);
+  }
   ApplyChain(steps, in, out[0]);
 }
 

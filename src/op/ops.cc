@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/codegen/dense_kernels.h"
 #include "src/op/registry.h"
 #include "src/support/logging.h"
 
@@ -152,6 +153,36 @@ void RegisterElemwiseUnary(const std::string& name) {
       .set_pattern(FusePattern::kElemWise);
 }
 
+// ---- dense (plain and fused) ------------------------------------------------
+
+/// Type relation shared by nn.dense and fused_dense: x is [M, K] and w is
+/// either [N, K] or, once pass::PackDenseWeights has packed a constant
+/// weight, panels [ceil(N/16), K, 16] with N in the kPanelWeightAttr attr.
+Type DenseRel(const std::vector<Type>& in, const Attrs& attrs,
+              const char* op) {
+  const auto* x = ExpectTensor(in[0], op, 0);
+  const auto* w = ExpectTensor(in[1], op, 1);
+  NIMBLE_CHECK_EQ(x->shape.size(), 2u) << op << ": data must be 2-D";
+  if (!attrs.Has(codegen::kPanelWeightAttr)) {
+    NIMBLE_CHECK_EQ(w->shape.size(), 2u) << op << ": weight must be 2-D";
+    UnifyDim(x->shape[1], w->shape[1], op);  // contraction axis
+    return TensorType({x->shape[0], w->shape[0]}, x->dtype);
+  }
+  int64_t n = attrs.GetInt(codegen::kPanelWeightAttr);
+  NIMBLE_CHECK_EQ(w->shape.size(), 3u) << op << ": packed weight must be 3-D";
+  UnifyDim(w->shape[0], Dim::Static(codegen::PanelCount(n)), op);
+  UnifyDim(x->shape[1], w->shape[1], op);  // contraction axis
+  UnifyDim(w->shape[2], Dim::Static(codegen::kPanelCols), op);
+  return TensorType({x->shape[0], Dim::Static(n)}, x->dtype);
+}
+
+std::vector<ShapeVec> DenseShapeFn(const std::vector<ShapeVec>& in,
+                                   const std::vector<runtime::NDArray>&,
+                                   const Attrs& attrs) {
+  int64_t n = attrs.GetInt(codegen::kPanelWeightAttr, in[1][0]);
+  return {{in[0][0], n}};
+}
+
 // ---- individual operators --------------------------------------------------
 
 void RegisterDense() {
@@ -159,20 +190,10 @@ void RegisterDense() {
   OpRegistry::Global()
       ->Register("nn.dense")
       .set_num_inputs(2)
-      .set_type_rel([](const std::vector<Type>& in, const Attrs&) -> Type {
-        const auto* x = ExpectTensor(in[0], "nn.dense", 0);
-        const auto* w = ExpectTensor(in[1], "nn.dense", 1);
-        NIMBLE_CHECK_EQ(x->shape.size(), 2u) << "nn.dense: data must be 2-D";
-        NIMBLE_CHECK_EQ(w->shape.size(), 2u) << "nn.dense: weight must be 2-D";
-        UnifyDim(x->shape[1], w->shape[1], "nn.dense");  // contraction axis
-        return TensorType({x->shape[0], w->shape[0]}, x->dtype);
+      .set_type_rel([](const std::vector<Type>& in, const Attrs& attrs) {
+        return DenseRel(in, attrs, "nn.dense");
       })
-      .set_shape_fn(ShapeFuncMode::kDataIndependent,
-                    [](const std::vector<ShapeVec>& in,
-                       const std::vector<runtime::NDArray>&,
-                       const Attrs&) -> std::vector<ShapeVec> {
-                      return {{in[0][0], in[1][0]}};
-                    })
+      .set_shape_fn(ShapeFuncMode::kDataIndependent, DenseShapeFn)
       .set_pattern(FusePattern::kOutEWiseFusable);
 }
 
@@ -832,18 +853,10 @@ void RegisterFusedOps() {
   // fused_dense(x, w, extras...): dense followed by an epilogue chain.
   reg.Register("fused_dense")
       .set_num_inputs(-1)
-      .set_type_rel([](const std::vector<Type>& in, const Attrs&) -> Type {
-        const auto* x = ExpectTensor(in[0], "fused_dense", 0);
-        const auto* w = ExpectTensor(in[1], "fused_dense", 1);
-        UnifyDim(x->shape[1], w->shape[1], "fused_dense");
-        return TensorType({x->shape[0], w->shape[0]}, x->dtype);
+      .set_type_rel([](const std::vector<Type>& in, const Attrs& attrs) {
+        return DenseRel(in, attrs, "fused_dense");
       })
-      .set_shape_fn(ShapeFuncMode::kDataIndependent,
-                    [](const std::vector<ShapeVec>& in,
-                       const std::vector<runtime::NDArray>&,
-                       const Attrs&) -> std::vector<ShapeVec> {
-                      return {{in[0][0], in[1][0]}};
-                    })
+      .set_shape_fn(ShapeFuncMode::kDataIndependent, DenseShapeFn)
       .set_pattern(FusePattern::kOpaque);
 
   // fused_batch_matmul(a, b, extras...): batched matmul + epilogue chain.

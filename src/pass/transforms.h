@@ -33,6 +33,21 @@ struct FusionStats {
 /// upper-bound are never fused into a composite.
 FusionStats FuseOps(ir::Module* mod);
 
+struct PackStats {
+  int weights_packed = 0;  // distinct weight views packed into panels
+  int calls_packed = 0;    // dense calls rewritten to take them
+};
+
+/// Rewrites every nn.dense / fused_dense whose weight is a 2-D float32
+/// compile-time constant to take that weight pre-packed into 16-column
+/// panels [ceil(N/16), K, 16] (codegen::PackDenseWeight), with N in the
+/// call's codegen::kPanelWeightAttr attr. Packing is per source buffer, not
+/// per Constant node: every call that reads one weight shares one packed
+/// copy, and the [N, K] original is no longer referenced by the module.
+/// Runs after FuseOps (fused_dense already carries its epilogue); dense on
+/// non-constant operands is left for the [N, K] kernels.
+PackStats PackDenseWeights(ir::Module* mod);
+
 /// Pattern-matches the unfused LSTM recurrence
 ///   split(gates, 4) -> sigmoid/tanh gate math -> (h', c')
 /// and rewrites it to the fused nn.lstm_cell operator. Returns the number

@@ -21,8 +21,10 @@
 //   --slots N       slot count (default: cycles 1,2,4,8 by seed)
 //   --pool N        size the global kernel pool to N threads and drop the
 //                   parallel-dense threshold to 1, so even the harness's
-//                   tiny denses route through the tiled+parallel path —
-//                   the bit-identity assertion then covers it end to end
+//                   tiny denses split their weight panels across the pool —
+//                   the bit-identity assertion then covers it end to end,
+//                   and with N > 1 the sweep fails if no dense call
+//                   actually ran partitioned
 //   --fail-file P   append failing seeds to P (one per line)
 #include <cstdint>
 #include <cstdio>
@@ -66,6 +68,7 @@ int main(int argc, char** argv) {
   bool have_flavor = false;
   ArrivalFlavor flavor = ArrivalFlavor::kPoisson;
   std::string fail_file;
+  bool expect_parallel = false;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -107,6 +110,7 @@ int main(int argc, char** argv) {
       nimble::codegen::KernelPool::ConfigureGlobal(
           static_cast<int>(pool_threads));
       nimble::codegen::SetDenseParallelThreshold(1);
+      expect_parallel = pool_threads > 1;
     } else if (std::strcmp(argv[i], "--fail-file") == 0) {
       fail_file = next("--fail-file");
     } else {
@@ -147,6 +151,18 @@ int main(int argc, char** argv) {
                   static_cast<long long>(runs));
       std::fflush(stdout);
     }
+  }
+  if (expect_parallel) {
+    // The sweep only guards the partitioned path if it reached it.
+    int64_t parallel = harness.exec->dispatch_table.stats().parallel_calls.load(
+        std::memory_order_relaxed);
+    if (parallel == 0) {
+      std::fprintf(stderr,
+                   "FAIL: --pool sweep ran no dense call across the pool\n");
+      return 1;
+    }
+    std::printf("sched_harness: %lld dense calls ran partitioned\n",
+                static_cast<long long>(parallel));
   }
   std::printf(
       "sched_harness: all %lld schedules bit-identical to sequential "

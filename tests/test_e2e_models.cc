@@ -2,6 +2,10 @@
 // execute on the VM, and compare numerics against plain-C++ references.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <sstream>
+
 #include "src/core/compiler.h"
 #include "src/models/bert.h"
 #include "src/models/lstm.h"
@@ -13,6 +17,7 @@ namespace nimble {
 namespace {
 
 using runtime::AsTensor;
+using runtime::DataType;
 using runtime::MakeTensor;
 using runtime::NDArray;
 
@@ -261,6 +266,128 @@ TEST(E2E, CompileReportsOptimizationStats) {
   EXPECT_GT(compiled.fusion.groups_created, 0);
   EXPECT_GT(compiled.memory.kills_inserted, 0);
   EXPECT_GT(compiled.executable->NumInstructions(), 0u);
+}
+
+// ---- packed constant weights ----------------------------------------------
+
+int64_t DistinctConstantBytes(const vm::Executable& exec) {
+  std::set<const runtime::Buffer*> seen;
+  int64_t bytes = 0;
+  for (const NDArray& c : exec.constants) {
+    if (seen.insert(c.storage().get()).second) {
+      bytes += static_cast<int64_t>(c.nbytes());
+    }
+  }
+  return bytes;
+}
+
+// The served LSTM's functions (@main, @main_batched, @main_batched_exact,
+// @main_step) all read the same two gate weights. Packing per source
+// buffer keeps one panel copy of each and drops the [N, K] originals, so
+// the executable holds exactly the distinct constant bytes it held before
+// packing existed — not one copy per function or per layout.
+TEST(PackedWeights, ServedLSTMStoresEachWeightOnce) {
+  models::LSTMConfig config;
+  config.input_size = 128;
+  config.hidden_size = 256;
+  config.emit_batched = true;
+  auto model = models::BuildLSTM(config);
+  core::CompileOptions opts;
+  opts.batched_entries = {model.batched_spec};
+  auto result = core::Compile(model.module, opts);
+  EXPECT_EQ(result.packing.weights_packed, 2);  // wx and wh
+  EXPECT_GE(result.packing.calls_packed, 8);    // 2 per recurrence body
+  EXPECT_EQ(DistinctConstantBytes(*result.executable), 1579064);
+  for (const NDArray& c : result.executable->constants) {
+    EXPECT_NE(c.storage(), model.weights.layers[0].wx.storage());
+    EXPECT_NE(c.storage(), model.weights.layers[0].wh.storage());
+  }
+}
+
+/// Bitwise equality of two VM results (a tensor or a tuple of them).
+::testing::AssertionResult SameBits(const runtime::ObjectRef& got,
+                                    const runtime::ObjectRef& want) {
+  if (got->tag() != want->tag()) {
+    return ::testing::AssertionFailure() << "result kinds differ";
+  }
+  if (got->tag() != runtime::ObjectTag::kTensor) {
+    runtime::ADTObj* g = runtime::AsADT(got);
+    runtime::ADTObj* w = runtime::AsADT(want);
+    if (g->fields.size() != w->fields.size()) {
+      return ::testing::AssertionFailure() << "tuple sizes differ";
+    }
+    for (size_t i = 0; i < g->fields.size(); ++i) {
+      auto field = SameBits(g->fields[i], w->fields[i]);
+      if (!field) return field << " (field " << i << ")";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  NDArray g = AsTensor(got), w = AsTensor(want);
+  if (g.shape() != w.shape() ||
+      std::memcmp(g.raw_data(), w.raw_data(), g.nbytes()) != 0) {
+    return ::testing::AssertionFailure() << "tensor bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Packed panels are ordinary constants and the packing attr an ordinary
+// call attr, so a packed executable round-trips through the existing
+// format (still version 6) and every entry point — per request, packed
+// batch, continuous step — returns the same bits after loading. H = 18
+// gives N = 72 gate columns: the last panel is half padding.
+TEST(PackedWeights, SaveLoadRoundTripIsBitIdentical) {
+  models::LSTMConfig config;
+  config.input_size = 8;
+  config.hidden_size = 18;
+  config.emit_batched = true;
+  auto model = models::BuildLSTM(config);
+  core::CompileOptions opts;
+  opts.batched_entries = {model.batched_spec};
+  auto compiled = core::Compile(model.module, opts);
+  ASSERT_EQ(compiled.packing.weights_packed, 2);
+  auto exec = compiled.executable;
+
+  std::stringstream buffer;
+  exec->Save(buffer);
+  std::string bytes = buffer.str();
+  ASSERT_GE(bytes.size(), 8u);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 6u) << "packing must not extend the format ladder";
+  std::stringstream in(bytes);
+  auto loaded = vm::Executable::Load(in);
+  vm::VirtualMachine before(exec), after(loaded);
+
+  const int64_t B = 3, L = 5, D = 8, H = 18;
+  support::Rng rng(77);
+  auto zeros = [](runtime::ShapeVec shape, DataType dtype) {
+    NDArray arr = NDArray::Empty(std::move(shape), dtype);
+    std::memset(arr.raw_data(), 0, arr.nbytes());
+    return arr;
+  };
+
+  std::vector<runtime::ObjectRef> main_args = {
+      MakeTensor(models::RandomSequence(L, D, rng)),
+      MakeTensor(NDArray::Scalar<int64_t>(L))};
+  EXPECT_TRUE(SameBits(after.Invoke("main", main_args),
+                       before.Invoke("main", main_args)));
+
+  NDArray packed = models::RandomSequence(L * B, D, rng).Reshape({L, B, D});
+  NDArray lengths = NDArray::FromVector<int64_t>({5, 2, 4}, {B, 1});
+  std::vector<runtime::ObjectRef> batched_args = {
+      MakeTensor(packed), MakeTensor(NDArray::Scalar<int64_t>(L)),
+      MakeTensor(lengths), MakeTensor(zeros({B, H}, DataType::Float32())),
+      MakeTensor(zeros({B, H}, DataType::Float32()))};
+  EXPECT_TRUE(SameBits(after.Invoke("main_batched", batched_args),
+                       before.Invoke("main_batched", batched_args)));
+
+  NDArray active = NDArray::FromVector<int64_t>({1, 0, 1}, {B, 1});
+  std::vector<runtime::ObjectRef> step_args = {
+      MakeTensor(models::RandomSequence(B, D, rng)), MakeTensor(active),
+      MakeTensor(models::RandomSequence(B, H, rng)),
+      MakeTensor(models::RandomSequence(B, H, rng))};
+  EXPECT_TRUE(SameBits(after.Invoke("main_step", step_args),
+                       before.Invoke("main_step", step_args)));
 }
 
 }  // namespace

@@ -299,6 +299,159 @@ TEST(DenseDispatch, PoolEligibleRunsPartitioned) {
   codegen::SetDenseParallelThreshold(saved);
 }
 
+// ---- packed-panel dense (constant weights) ---------------------------------
+
+// Every ISA family this CPU can run, each called through its own function
+// pointers (never through BestPanelKernels), so a host with AVX-512 still
+// checks the AVX2 and scalar bodies.
+std::vector<const codegen::PanelDenseKernels*> SupportedPanelIsas() {
+  std::vector<const codegen::PanelDenseKernels*> isas;
+  for (codegen::PanelIsa isa :
+       {codegen::PanelIsa::kScalar, codegen::PanelIsa::kAvx2,
+        codegen::PanelIsa::kAvx512}) {
+    if (const auto* kernels = codegen::PanelKernelsFor(isa)) {
+      isas.push_back(kernels);
+    }
+  }
+  return isas;
+}
+
+std::vector<float> PackPrefix(const NDArray& w, int64_t n, int64_t k) {
+  std::vector<float> panels(
+      static_cast<size_t>(codegen::PanelCount(n) * k * codegen::kPanelCols));
+  codegen::PackDensePanels(w.data<float>(), n, k, panels.data());
+  return panels;
+}
+
+TEST(PanelDense, PackLayoutZeroPadsTheLastPanel) {
+  const int64_t n = 17, k = 3;
+  NDArray w = Rand({n, k}, 600);
+  std::vector<float> panels = PackPrefix(w, n, k);
+  ASSERT_EQ(panels.size(), static_cast<size_t>(2 * k * 16));
+  for (int64_t p = 0; p < 2; ++p) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      for (int64_t j = 0; j < 16; ++j) {
+        int64_t col = p * 16 + j;
+        float want = col < n ? w.at(col, kk) : 0.0f;
+        EXPECT_EQ(panels[static_cast<size_t>((p * k + kk) * 16 + j)], want)
+            << "p=" << p << " k=" << kk << " j=" << j;
+      }
+    }
+  }
+}
+
+// The contract of the constant-weight route: for every shape class (all
+// residues and a second tile, partial and multi-panel N, K % 4 tails,
+// contractions past the old lane-depth limit), every ISA's residue kernel
+// is bitwise identical to MicroRow1F32 and its symbolic kernel to
+// DenseSymbolicChecked. Buffers are sized exactly, so a sanitizer build
+// catches a padded lane or a tail store that leaves its panel.
+TEST(PanelDense, GridBitIdenticalOnEveryIsa) {
+  const int64_t kMaxM = 17, kMaxN = 512;
+  auto isas = SupportedPanelIsas();
+  ASSERT_FALSE(isas.empty());
+  uint64_t seed = 700;
+  for (int64_t k : {1, 3, 4, 5, 37, 64, 130, 1025, 2048}) {
+    NDArray x = Rand({kMaxM, k}, seed++), w = Rand({kMaxN, k}, seed++);
+    // Neither order depends on M or N, so one reference per K covers the
+    // grid: row r, column c of any (m, n) block is entry (r, c) here.
+    std::vector<float> canonical = RowReference(x, w, kMaxM, kMaxN, k);
+    std::vector<float> symbolic(static_cast<size_t>(kMaxM * kMaxN));
+    codegen::DenseSymbolicChecked(x.data<float>(), w.data<float>(),
+                                  symbolic.data(), kMaxM, kMaxN, k);
+    for (int64_t n : {1, 15, 16, 17, 100, 512}) {
+      std::vector<float> panels = PackPrefix(w, n, k);
+      int64_t num_panels = codegen::PanelCount(n);
+      for (int64_t m = 1; m <= kMaxM; ++m) {
+        for (const auto* kernels : isas) {
+          for (bool canonical_order : {true, false}) {
+            const std::vector<float>& ref =
+                canonical_order ? canonical : symbolic;
+            codegen::PanelDenseFn fn =
+                canonical_order ? kernels->residue[m % codegen::kTileRows]
+                                : kernels->symbolic;
+            std::vector<float> out(static_cast<size_t>(m * n));
+            fn(x.data<float>(), panels.data(), out.data(), m, n, k, 0,
+               num_panels);
+            for (int64_t r = 0; r < m; ++r) {
+              ASSERT_TRUE(BitsEqual(out.data() + r * n,
+                                    ref.data() + r * kMaxN, n))
+                  << kernels->name
+                  << (canonical_order ? " residue" : " symbolic")
+                  << " m=" << m << " n=" << n << " k=" << k << " row " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Panels write disjoint columns: any split of the panel range (what the
+// kernel pool hands its tasks) reproduces the whole call's bits.
+TEST(PanelDense, PanelRangesComposeBitIdentically) {
+  const int64_t m = 11, n = 100, k = 37;
+  NDArray x = Rand({m, k}, 800), w = Rand({n, k}, 801);
+  std::vector<float> panels = PackPrefix(w, n, k);
+  std::vector<float> ref = RowReference(x, w, m, n, k);
+  const auto& kernels = codegen::BestPanelKernels();
+  std::vector<float> out(static_cast<size_t>(m * n), -1.0f);
+  for (int64_t p = codegen::PanelCount(n) - 1; p >= 0; --p) {
+    kernels.residue[m % codegen::kTileRows](x.data<float>(), panels.data(),
+                                            out.data(), m, n, k, p, p + 1);
+  }
+  ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * n));
+}
+
+// Routing through the executable's table: a covered residue takes the
+// residue kernel, an uncovered one the symbolic kernel — the same split,
+// and the same bits, as the [N, K] route.
+TEST(DenseDispatch, RunPanelsFollowsResidueCoverage) {
+  codegen::DenseDispatchTable table(2);  // residues {0, 4}
+  NDArray w = Rand({40, 12}, 900);
+  NDArray panels = codegen::PackDenseWeight(w);
+  for (int64_t m : {8, 3}) {
+    NDArray x = Rand({m, 12}, 901);
+    NDArray packed_out = NDArray::Empty({m, 40}, DataType::Float32());
+    NDArray plain_out = NDArray::Empty({m, 40}, DataType::Float32());
+    table.RunPanels(x, panels, packed_out, nullptr);
+    table.Run(x, w, plain_out);
+    ASSERT_TRUE(BitsEqual(packed_out.data<float>(), plain_out.data<float>(),
+                          m * 40))
+        << "m=" << m;
+  }
+  EXPECT_EQ(table.stats().specialized_calls, 2);  // m=8, packed and plain
+  EXPECT_EQ(table.stats().fallback_calls, 2);     // m=3, packed and plain
+  EXPECT_EQ(table.stats().blocked_calls, 0);
+}
+
+TEST(DenseDispatch, RunPanelsSplitsAcrossThePool) {
+  int64_t saved = codegen::DenseParallelThreshold();
+  codegen::SetDenseParallelThreshold(1);
+  {
+    codegen::KernelPool pool(2);
+    codegen::DenseDispatchTable table(8);
+    const int64_t m = 9, n = 100, k = 37;
+    NDArray x = Rand({m, k}, 950), w = Rand({n, k}, 951);
+    NDArray panels = codegen::PackDenseWeight(w);
+    std::vector<float> ref = RowReference(x, w, m, n, k);
+    std::vector<float> out(static_cast<size_t>(m * n), -1.0f);
+    table.RunPanels(x.data<float>(), panels.data<float>(), out.data(), m, n,
+                    k, &pool);
+    EXPECT_EQ(table.stats().parallel_calls, 1);
+    EXPECT_EQ(table.stats().blocked_calls, 0);
+    ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * n));
+    // One panel cannot be split: the call stays on the caller's thread.
+    NDArray w1 = Rand({16, k}, 952);
+    NDArray p1 = codegen::PackDenseWeight(w1);
+    std::vector<float> out1(static_cast<size_t>(m * 16));
+    table.RunPanels(x.data<float>(), p1.data<float>(), out1.data(), m, 16, k,
+                    &pool);
+    EXPECT_EQ(table.stats().parallel_calls, 1);
+  }
+  codegen::SetDenseParallelThreshold(saved);
+}
+
 TEST(Tuner, MeasureDenseConfigReturnsPositiveTime) {
   double t = codegen::MeasureDenseConfig({32, 64}, 8, 64, 64, /*repeats=*/2);
   EXPECT_GT(t, 0.0);
