@@ -200,7 +200,7 @@ using PanelDenseFn = void (*)(const float* x, const float* panels, float* out,
                               int64_t m, int64_t n, int64_t k,
                               int64_t p_begin, int64_t p_end);
 
-enum class PanelIsa : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class PanelIsa : uint8_t { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// One ISA's panel kernel family. residue[r] serves M = kTileRows*q + r
 /// with r baked in at compile time, in MicroRow1F32's order; `symbolic`
@@ -214,10 +214,10 @@ struct PanelDenseKernels {
 };
 
 /// The kernel family for `isa`, or nullptr when this build or CPU cannot
-/// run it (checked at runtime). kScalar is always available.
+/// run it (checked at runtime). kPortable is always available.
 const PanelDenseKernels* PanelKernelsFor(PanelIsa isa);
 
-/// The widest family this CPU supports: AVX-512F, else AVX2, else scalar.
+/// The widest family this CPU supports: AVX-512F, else AVX2, else portable.
 /// Resolved once per process.
 const PanelDenseKernels& BestPanelKernels();
 

@@ -20,8 +20,10 @@
 // their own flags compile this file too.
 //
 // One template body serves every ISA: the lane type V is a 16-lane vector
-// for AVX-512F, an 8-lane vector (two halves per panel) for AVX2, and plain
-// float (sixteen scalar lanes) for the portable path.
+// for AVX-512F, an 8-lane vector (two halves per panel) for AVX2, and for
+// the portable path a 4-lane generic vector that GCC and Clang lower to
+// whatever the target has (SSE2, NEON, or scalar code), or plain float
+// (sixteen scalar lanes) under other compilers.
 #include <algorithm>
 #include <cstring>
 
@@ -76,9 +78,9 @@ template <typename V>
 constexpr int64_t kLanes = static_cast<int64_t>(sizeof(V) / sizeof(float));
 
 /// Rows per register pass: 4 chains x rows accumulators plus the four
-/// weight vectors must fit the register file (32 zmm, 16 ymm).
+/// weight vectors must fit the register file (32 zmm; 16 ymm or xmm).
 template <typename V>
-constexpr int kPassRows = sizeof(V) == 32 ? 2 : 4;
+constexpr int kPassRows = sizeof(V) == 64 ? 4 : 2;
 
 template <typename V>
 NIMBLE_KERNEL_INLINE V LoadLanes(const float* p) {
@@ -206,12 +208,19 @@ NIMBLE_NO_FP_CONTRACT NIMBLE_KERNEL_INLINE void PanelSymbolic(
       int64_t k, int64_t p_begin, int64_t p_end
 #define NIMBLE_PANEL_FWD x, panels, out, m, n, k, p_begin, p_end
 
+#if defined(__GNUC__) || defined(__clang__)
+typedef float v4sf __attribute__((vector_size(16)));
+using PortableLanes = v4sf;
+#else
+using PortableLanes = float;
+#endif
+
 template <int R>
-NIMBLE_NO_FP_CONTRACT void ResidueScalar(NIMBLE_PANEL_ARGS) {
-  PanelResidue<float, R>(NIMBLE_PANEL_FWD);
+NIMBLE_NO_FP_CONTRACT void ResiduePortable(NIMBLE_PANEL_ARGS) {
+  PanelResidue<PortableLanes, R>(NIMBLE_PANEL_FWD);
 }
-NIMBLE_NO_FP_CONTRACT void SymbolicScalar(NIMBLE_PANEL_ARGS) {
-  PanelSymbolic<float>(NIMBLE_PANEL_FWD);
+NIMBLE_NO_FP_CONTRACT void SymbolicPortable(NIMBLE_PANEL_ARGS) {
+  PanelSymbolic<PortableLanes>(NIMBLE_PANEL_FWD);
 }
 
 #ifdef NIMBLE_PANEL_X86
@@ -247,8 +256,8 @@ __attribute__((target("avx512f"))) NIMBLE_NO_FP_CONTRACT void SymbolicAvx512(
 #define NIMBLE_RESIDUE_TABLE(Fn) \
   { Fn<0>, Fn<1>, Fn<2>, Fn<3>, Fn<4>, Fn<5>, Fn<6>, Fn<7> }
 
-const PanelDenseKernels kScalarKernels = {
-    "scalar", NIMBLE_RESIDUE_TABLE(ResidueScalar), SymbolicScalar};
+const PanelDenseKernels kPortableKernels = {
+    "portable", NIMBLE_RESIDUE_TABLE(ResiduePortable), SymbolicPortable};
 #ifdef NIMBLE_PANEL_X86
 const PanelDenseKernels kAvx2Kernels = {
     "avx2", NIMBLE_RESIDUE_TABLE(ResidueAvx2), SymbolicAvx2};
@@ -262,8 +271,8 @@ const PanelDenseKernels kAvx512Kernels = {
 
 const PanelDenseKernels* PanelKernelsFor(PanelIsa isa) {
   switch (isa) {
-    case PanelIsa::kScalar:
-      return &kScalarKernels;
+    case PanelIsa::kPortable:
+      return &kPortableKernels;
 #ifdef NIMBLE_PANEL_X86
     case PanelIsa::kAvx2:
       return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
@@ -282,7 +291,7 @@ const PanelDenseKernels& BestPanelKernels() {
         return kernels;
       }
     }
-    return &kScalarKernels;
+    return &kPortableKernels;
   }();
   return *best;
 }

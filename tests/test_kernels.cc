@@ -303,11 +303,11 @@ TEST(DenseDispatch, PoolEligibleRunsPartitioned) {
 
 // Every ISA family this CPU can run, each called through its own function
 // pointers (never through BestPanelKernels), so a host with AVX-512 still
-// checks the AVX2 and scalar bodies.
+// checks the AVX2 and portable bodies.
 std::vector<const codegen::PanelDenseKernels*> SupportedPanelIsas() {
   std::vector<const codegen::PanelDenseKernels*> isas;
   for (codegen::PanelIsa isa :
-       {codegen::PanelIsa::kScalar, codegen::PanelIsa::kAvx2,
+       {codegen::PanelIsa::kPortable, codegen::PanelIsa::kAvx2,
         codegen::PanelIsa::kAvx512}) {
     if (const auto* kernels = codegen::PanelKernelsFor(isa)) {
       isas.push_back(kernels);
