@@ -4,7 +4,9 @@
 // with Nimble's latency split into kernel invocations vs all other
 // instructions (shape functions, dynamic allocation, dispatch). Paper finds
 // TVM 5-25% faster with a small absolute gap.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/baselines/static_runtime.h"
@@ -69,5 +71,15 @@ int main() {
               "(profiled total %.2f ms)\n",
               static_cast<long long>(profile.instructions),
               profile.shape_func_nanos / 1e6, total_prof_ms);
+
+  // Where the kernel time goes: the profiled run's heaviest packed entries.
+  std::vector<vm::VMProfile::PackedRow> rows = profile.per_packed;
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.nanos > b.nanos; });
+  std::printf("heaviest packed entries (profiled run):\n");
+  for (size_t i = 0; i < rows.size() && i < 6 && rows[i].calls > 0; ++i) {
+    std::printf("  %-24s %5lld calls %9.3f ms\n", rows[i].name.c_str(),
+                static_cast<long long>(rows[i].calls), rows[i].nanos / 1e6);
+  }
   return 0;
 }

@@ -58,38 +58,48 @@ std::vector<int64_t> BroadcastStrides(const ShapeVec& shape, size_t out_rank,
   return strides;
 }
 
-template <typename T, typename F>
-void BinaryLoop(F f, const NDArray& a, const NDArray& b, const NDArray& out) {
+/// out = Op(a, b) with numpy broadcasting, computed in `T` (float for
+/// float32, int64_t for the integer dtypes). Every shape runs through
+/// EwLoop: identical shapes and a scalar operand as one loop, anything else
+/// as one EwLoop per row of the output's last axis.
+template <EwOp Op, typename T, typename TElem>
+void BinaryLoop(const NDArray& a, const NDArray& b, const NDArray& out) {
   const ShapeVec& os = out.shape();
   int64_t n = out.num_elements();
-  const T* pa = a.data<T>();
-  const T* pb = b.data<T>();
-  T* po = out.data<T>();
-  // Fast path: identical shapes.
+  const TElem* pa = a.data<TElem>();
+  const TElem* pb = b.data<TElem>();
+  TElem* po = out.data<TElem>();
   if (a.shape() == os && b.shape() == os) {
-    for (int64_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
+    EwLoop<Op, 1, 1, T>(po, pa, pb, n);
     return;
   }
-  // Fast path: rhs is a scalar.
   if (b.num_elements() == 1 && a.shape() == os) {
-    T s = pb[0];
-    for (int64_t i = 0; i < n; ++i) po[i] = f(pa[i], s);
+    TElem s = pb[0];
+    EwLoop<Op, 1, 0, T>(po, pa, &s, n);
     return;
   }
   if (a.num_elements() == 1 && b.shape() == os) {
-    T s = pa[0];
-    for (int64_t i = 0; i < n; ++i) po[i] = f(s, pb[i]);
+    TElem s = pa[0];
+    EwLoop<Op, 0, 1, T>(po, &s, pb, n);
     return;
   }
-  // General strided broadcast.
+  // General strided broadcast, one row of the last axis at a time. Along
+  // that axis each operand's stride is 1 or 0 (broadcast).
   size_t rank = os.size();
   auto sa = BroadcastStrides(a.shape(), rank, os);
   auto sb = BroadcastStrides(b.shape(), rank, os);
+  int64_t inner = os[rank - 1];
+  int64_t kind = sa[rank - 1] * 2 + sb[rank - 1];
   std::vector<int64_t> idx(rank, 0);
   int64_t offa = 0, offb = 0;
-  for (int64_t linear = 0; linear < n; ++linear) {
-    po[linear] = f(pa[offa], pb[offb]);
-    for (size_t d = rank; d-- > 0;) {
+  for (int64_t row = 0; row < n; row += inner) {
+    switch (kind) {
+      case 3: EwLoop<Op, 1, 1, T>(po + row, pa + offa, pb + offb, inner); break;
+      case 2: EwLoop<Op, 1, 0, T>(po + row, pa + offa, pb + offb, inner); break;
+      case 1: EwLoop<Op, 0, 1, T>(po + row, pa + offa, pb + offb, inner); break;
+      default: EwLoop<Op, 0, 0, T>(po + row, pa + offa, pb + offb, inner);
+    }
+    for (size_t d = rank - 1; d-- > 0;) {
       idx[d]++;
       offa += sa[d];
       offb += sb[d];
@@ -131,45 +141,29 @@ void CompareLoop(F f, const NDArray& a, const NDArray& b, const NDArray& out) {
   }
 }
 
-template <typename F32Op, typename I64Op>
-void BinaryDispatch(F32Op f32_op, I64Op i64_op, const std::vector<NDArray>& in,
-                    const std::vector<NDArray>& out) {
-  NIMBLE_CHECK_EQ(in.size(), 2u);
-  NIMBLE_CHECK_EQ(out.size(), 1u);
-  switch (in[0].dtype().code()) {
-    case DTypeCode::kFloat32:
-      BinaryLoop<float>(f32_op, in[0], in[1], out[0]);
-      break;
-    case DTypeCode::kInt64:
-      BinaryLoop<int64_t>(i64_op, in[0], in[1], out[0]);
-      break;
-    case DTypeCode::kInt32:
-      BinaryLoop<int32_t>(i64_op, in[0], in[1], out[0]);
-      break;
-    default:
-      NIMBLE_FATAL() << "binary elementwise: unsupported dtype "
-                     << in[0].dtype().ToString();
-  }
-}
-
 void RegisterBinary(const std::string& name, EwOp op) {
   KernelRegistry::Global()->Register(
       name, [op](const std::vector<NDArray>& in, const std::vector<NDArray>& out,
                  const ir::Attrs&) {
-        BinaryDispatch(
-            [op](float a, float b) { return ApplyBinary(op, a, b); },
-            [op](int64_t a, int64_t b) -> int64_t {
-              switch (op) {
-                case EwOp::kAdd: return a + b;
-                case EwOp::kSubtract: return a - b;
-                case EwOp::kMultiply: return a * b;
-                case EwOp::kDivide: return a / b;
-                case EwOp::kMaximum: return a > b ? a : b;
-                case EwOp::kMinimum: return a < b ? a : b;
-                default: NIMBLE_FATAL() << "bad integer binary op";
-              }
-            },
-            in, out);
+        NIMBLE_CHECK_EQ(in.size(), 2u);
+        NIMBLE_CHECK_EQ(out.size(), 1u);
+        VisitBinaryEwOp(op, [&](auto tag) {
+          constexpr EwOp kOp = decltype(tag)::value;
+          switch (in[0].dtype().code()) {
+            case DTypeCode::kFloat32:
+              BinaryLoop<kOp, float, float>(in[0], in[1], out[0]);
+              break;
+            case DTypeCode::kInt64:
+              BinaryLoop<kOp, int64_t, int64_t>(in[0], in[1], out[0]);
+              break;
+            case DTypeCode::kInt32:
+              BinaryLoop<kOp, int64_t, int32_t>(in[0], in[1], out[0]);
+              break;
+            default:
+              NIMBLE_FATAL() << "binary elementwise: unsupported dtype "
+                             << in[0].dtype().ToString();
+          }
+        });
       });
 }
 
@@ -201,9 +195,10 @@ void RegisterUnary(const std::string& name, EwOp op) {
         NIMBLE_CHECK(in[0].dtype() == DataType::Float32())
             << "unary elementwise expects float32";
         const float* pa = in[0].data<float>();
-        float* po = out[0].data<float>();
-        int64_t n = out[0].num_elements();
-        for (int64_t i = 0; i < n; ++i) po[i] = ApplyUnary(op, pa[i]);
+        VisitUnaryEwOp(op, [&](auto tag) {
+          EwLoop<decltype(tag)::value, 1, 0, float>(
+              out[0].data<float>(), pa, pa, out[0].num_elements());
+        });
       });
 }
 
@@ -211,8 +206,9 @@ void RegisterUnary(const std::string& name, EwOp op) {
 
 void BroadcastBinaryF32(EwOp op, const NDArray& a, const NDArray& b,
                         const NDArray& out) {
-  BinaryLoop<float>([op](float x, float y) { return ApplyBinary(op, x, y); },
-                    a, b, out);
+  VisitBinaryEwOp(op, [&](auto tag) {
+    BinaryLoop<decltype(tag)::value, float, float>(a, b, out);
+  });
 }
 
 void RegisterElemwiseKernels() {

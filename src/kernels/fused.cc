@@ -42,6 +42,7 @@ std::vector<Step> DecodeSteps(const ir::Attrs& attrs) {
 }
 
 /// Applies the chain in-place over `out`, reading rhs operands from `inputs`.
+/// Each step picks its op once and runs one EwLoop pass over the output.
 void ApplyChain(const std::vector<Step>& steps,
                 const std::vector<NDArray>& inputs, const NDArray& out) {
   int64_t n = out.num_elements();
@@ -49,34 +50,37 @@ void ApplyChain(const std::vector<Step>& steps,
   float* po = out.data<float>();
   for (const Step& s : steps) {
     switch (s.rhs_kind) {
-      case 0: {  // unary
-        for (int64_t i = 0; i < n; ++i) po[i] = ApplyUnary(s.op, po[i]);
+      case 0:  // unary
+        VisitUnaryEwOp(s.op, [&](auto tag) {
+          EwLoop<decltype(tag)::value, 1, 0, float>(po, po, po, n);
+        });
         break;
-      }
       case 1: {  // same-shape tensor
         const NDArray& rhs = inputs[s.rhs_index];
         NIMBLE_CHECK_EQ(rhs.num_elements(), n) << "fused rhs shape mismatch";
         const float* pr = rhs.data<float>();
-        for (int64_t i = 0; i < n; ++i) po[i] = ApplyBinary(s.op, po[i], pr[i]);
+        VisitBinaryEwOp(s.op, [&](auto tag) {
+          EwLoop<decltype(tag)::value, 1, 1, float>(po, po, pr, n);
+        });
         break;
       }
       case 2: {  // scalar
         float v = inputs[s.rhs_index].data<float>()[0];
-        for (int64_t i = 0; i < n; ++i) po[i] = ApplyBinary(s.op, po[i], v);
+        VisitBinaryEwOp(s.op, [&](auto tag) {
+          EwLoop<decltype(tag)::value, 1, 0, float>(po, po, &v, n);
+        });
         break;
       }
       case 3: {  // row vector over the last axis
         const NDArray& rhs = inputs[s.rhs_index];
         NIMBLE_CHECK_EQ(rhs.num_elements(), last) << "fused bias shape mismatch";
         const float* pr = rhs.data<float>();
-        // Row/column loops instead of po[i % last]: the per-element modulo
-        // costs more than the arithmetic it indexes for.
-        for (int64_t row = 0; row < n; row += last) {
-          float* prow = po + row;
-          for (int64_t j = 0; j < last; ++j) {
-            prow[j] = ApplyBinary(s.op, prow[j], pr[j]);
+        VisitBinaryEwOp(s.op, [&](auto tag) {
+          for (int64_t row = 0; row < n; row += last) {
+            EwLoop<decltype(tag)::value, 1, 1, float>(po + row, po + row, pr,
+                                                      last);
           }
-        }
+        });
         break;
       }
       default:

@@ -29,9 +29,14 @@ bool KernelRegistry::Has(const std::string& name) const {
 }
 
 const ContextKernelFn& KernelRegistry::Get(const std::string& name) const {
+  const ContextKernelFn* fn = Find(name);
+  NIMBLE_CHECK(fn != nullptr) << "no kernel registered for '" << name << "'";
+  return *fn;
+}
+
+const ContextKernelFn* KernelRegistry::Find(const std::string& name) const {
   auto it = kernels_.find(name);
-  NIMBLE_CHECK(it != kernels_.end()) << "no kernel registered for '" << name << "'";
-  return it->second;
+  return it == kernels_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> KernelRegistry::ListNames() const {

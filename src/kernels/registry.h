@@ -72,6 +72,9 @@ class KernelRegistry {
   void Register(const std::string& name, ContextKernelFn fn);
   bool Has(const std::string& name) const;
   const ContextKernelFn& Get(const std::string& name) const;
+  /// Like Get, but null when `name` is not registered. The pointer stays
+  /// valid for the life of the process (registrations are never removed).
+  const ContextKernelFn* Find(const std::string& name) const;
   std::vector<std::string> ListNames() const;
 
  private:

@@ -9,8 +9,8 @@
 //   dispatch   a pool worker picked the batch up
 //   pack_start / pack_end     PackPlan pack (equal on the per-request path)
 //   exec_end   batched VM invocation returned; the exec span additionally
-//              folds the VM's per-instruction-category profile (kernel /
-//              shape-function / other nanos) captured for the batch
+//              folds the VM's profile (kernel / shape-function / other
+//              nanos) captured for the batch
 //   unpack_end results scattered back per request
 //   write_end  response serialized and handed to the event loop (or, for
 //              the in-process future path, promise observed fulfilled)

@@ -21,9 +21,14 @@ OpInfo& OpRegistry::Register(const std::string& name) {
 }
 
 const OpInfo& OpRegistry::Get(const std::string& name) const {
+  const OpInfo* info = Find(name);
+  NIMBLE_CHECK(info != nullptr) << "unknown operator '" << name << "'";
+  return *info;
+}
+
+const OpInfo* OpRegistry::Find(const std::string& name) const {
   auto it = ops_.find(name);
-  NIMBLE_CHECK(it != ops_.end()) << "unknown operator '" << name << "'";
-  return it->second;
+  return it == ops_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> OpRegistry::ListNames() const {

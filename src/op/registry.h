@@ -85,6 +85,9 @@ class OpRegistry {
   OpInfo& Register(const std::string& name);
   bool Has(const std::string& name) const { return ops_.count(name) > 0; }
   const OpInfo& Get(const std::string& name) const;
+  /// Like Get, but null when `name` is not registered. The pointer stays
+  /// valid for the life of the process (registrations are never removed).
+  const OpInfo* Find(const std::string& name) const;
   std::vector<std::string> ListNames() const;
 
  private:

@@ -125,10 +125,11 @@ void VMPool::WorkerLoop(Worker& worker) {
       worker.vm->Rebind(batch->exec);
     }
     // Per-batch VM profiling rides the tracing switch: when traces are
-    // being collected, the batch runner folds the per-instruction-category
-    // times into each request's exec span; otherwise the VM runs with the
-    // profiling branches off. Reset() below clears the profile between
-    // batches either way, so a batch never sees its predecessor's nanos.
+    // being collected, the batch runner folds the VM's kernel,
+    // shape-function and other times into each request's exec span;
+    // otherwise the VM runs with the profiling branches off. Reset() below
+    // clears the profile between batches either way, so a batch never sees
+    // its predecessor's nanos.
     bool trace_on = batch->tracer != nullptr && batch->tracer->enabled();
     worker.vm->EnableProfiling(trace_on);
     // Pickup timestamp: everything before this instant is queue wait

@@ -33,6 +33,12 @@ class CompilerImpl {
  private:
   // ---- per-function compilation state --------------------------------------
 
+  /// What memory.invoke_mut and vm.shape_func compile to: they write their
+  /// outputs in place and yield no value. ManifestAlloc binds their result
+  /// to a variable nothing reads, so no register or instruction is spent
+  /// on it; compiling a read of such a variable is an error.
+  static constexpr RegName kNoValue = -1;
+
   struct FuncCtx {
     std::vector<Instruction> code;
     std::unordered_map<const VarNode*, RegName> env;
@@ -81,7 +87,9 @@ class CompilerImpl {
         if (call->args[0]->kind() == ExprKind::kVar) {
           auto it = ctx->env.find(
               static_cast<const VarNode*>(call->args[0].get()));
-          if (it != ctx->env.end()) ctx->free_regs.push_back(it->second);
+          if (it != ctx->env.end() && it->second != kNoValue) {
+            ctx->free_regs.push_back(it->second);
+          }
         }
         cursor = let->body;
         continue;
@@ -99,6 +107,10 @@ class CompilerImpl {
         auto it = ctx->env.find(static_cast<const VarNode*>(e.get()));
         NIMBLE_CHECK(it != ctx->env.end())
             << "unbound variable in VM compilation: " << PrintExpr(e);
+        NIMBLE_CHECK(it->second != kNoValue)
+            << "variable bound to a kernel or shape-function call (which "
+               "yields no value) is read: "
+            << PrintExpr(e);
         return it->second;
       }
       case ExprKind::kConstant: {
@@ -260,15 +272,7 @@ class CompilerImpl {
       inst.imm1 = entry.num_inputs;
       for (const Expr& a : call->args) inst.args.push_back(CompileAtom(a, ctx));
       Emit(ctx, inst);
-      // invoke_mut yields no value; hand back a dummy register holding the
-      // immediate 0 only if someone binds it (cheap, rare).
-      RegName dst = NewReg(ctx);
-      Instruction zero;
-      zero.op = Opcode::kLoadConsti;
-      zero.imm0 = 0;
-      zero.dst = dst;
-      Emit(ctx, zero);
-      return dst;
+      return kNoValue;
     }
     if (name == "vm.shape_func") {
       std::string op_name = call->attrs.GetStr("op_name");
@@ -284,13 +288,7 @@ class CompilerImpl {
       inst.imm1 = entry.num_inputs;
       for (const Expr& a : call->args) inst.args.push_back(CompileAtom(a, ctx));
       Emit(ctx, inst);
-      RegName dst = NewReg(ctx);
-      Instruction zero;
-      zero.op = Opcode::kLoadConsti;
-      zero.imm0 = 0;
-      zero.dst = dst;
-      Emit(ctx, zero);
-      return dst;
+      return kNoValue;
     }
     if (name == "vm.shape_of") {
       Instruction inst;

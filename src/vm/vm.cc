@@ -49,10 +49,14 @@ std::string VMProfile::ToString() const {
      << " ms, shape funcs " << shape_func_nanos / 1e6 << " ms, other "
      << (total_nanos - kernel_nanos) / 1e6 << " ms)\n";
   for (size_t i = 0; i < per_opcode.size(); ++i) {
-    if (per_opcode[i].count == 0) continue;
-    os << "  " << OpcodeName(static_cast<Opcode>(i)) << ": "
-       << per_opcode[i].count << " ops, " << per_opcode[i].nanos / 1e6
-       << " ms\n";
+    if (per_opcode[i] == 0) continue;
+    os << "  " << OpcodeName(static_cast<Opcode>(i)) << ": " << per_opcode[i]
+       << " ops\n";
+  }
+  for (const PackedRow& row : per_packed) {
+    if (row.calls == 0) continue;
+    os << "  " << (row.shape_func ? "shape func " : "kernel ") << row.name
+       << ": " << row.calls << " calls, " << row.nanos / 1e6 << " ms\n";
   }
   return os.str();
 }
@@ -64,6 +68,19 @@ VirtualMachine::VirtualMachine(std::shared_ptr<Executable> exec,
                                       : runtime::GlobalPoolingAllocator()) {
   kernels::EnsureKernelsRegistered();
   op::EnsureOpsRegistered();
+  if (exec_ != nullptr) ResolvePacked();
+}
+
+void VirtualMachine::ResolvePacked() {
+  resolved_.assign(exec_->packed.size(), ResolvedEntry{});
+  for (size_t i = 0; i < resolved_.size(); ++i) {
+    const PackedEntry& entry = exec_->packed[i];
+    if (entry.kind == PackedEntry::Kind::kKernel) {
+      resolved_[i].kernel = kernels::KernelRegistry::Global()->Find(entry.name);
+    } else {
+      resolved_[i].shape_func = op::OpRegistry::Global()->Find(entry.name);
+    }
+  }
 }
 
 void VirtualMachine::set_allocator(runtime::Allocator* allocator) {
@@ -74,11 +91,14 @@ void VirtualMachine::set_allocator(runtime::Allocator* allocator) {
 void VirtualMachine::Rebind(std::shared_ptr<Executable> exec) {
   NIMBLE_CHECK(exec != nullptr) << "cannot rebind a VM to a null executable";
   exec_ = std::move(exec);
+  ResolvePacked();
   Reset();
 }
 
 void VirtualMachine::Reset() {
   stack_.clear();
+  packed_inputs_.clear();
+  packed_outputs_.clear();
   profile_.Reset();
 }
 
@@ -104,7 +124,10 @@ ObjectRef VirtualMachine::Run(Frame initial) {
   stack.push_back(std::move(initial));
   ObjectRef result;
   bool done = false;
-  auto t_start = std::chrono::steady_clock::now();
+  // Profiling counts instructions here and times only packed calls
+  // (RunPacked) and the whole invocation.
+  std::chrono::steady_clock::time_point t_start;
+  if (profiling_) t_start = std::chrono::steady_clock::now();
   while (!done) {
     Frame& frame = stack.back();
     const VMFunction& fn = exec_->functions[frame.func_index];
@@ -112,23 +135,15 @@ ObjectRef VirtualMachine::Run(Frame initial) {
         << "pc ran off the end of @" << fn.name;
     const Instruction& inst = fn.instructions[frame.pc];
     if (profiling_) {
-      auto t0 = std::chrono::steady_clock::now();
-      RunInstruction(inst, stack, &result, &done);
-      auto t1 = std::chrono::steady_clock::now();
-      int64_t ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-      auto& entry = profile_.per_opcode[static_cast<size_t>(inst.op)];
-      entry.count++;
-      entry.nanos += ns;
+      profile_.per_opcode[static_cast<size_t>(inst.op)]++;
       profile_.instructions++;
-    } else {
-      RunInstruction(inst, stack, &result, &done);
     }
+    RunInstruction(inst, stack, &result, &done);
   }
   if (profiling_) {
-    auto t_end = std::chrono::steady_clock::now();
     profile_.total_nanos +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t_end - t_start)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t_start)
             .count();
   }
   return result;
@@ -314,16 +329,30 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
 
 void VirtualMachine::RunPacked(const Instruction& inst, Frame& frame) {
   const PackedEntry& entry = exec_->packed[inst.imm0];
+  ResolvedEntry& resolved = resolved_[inst.imm0];
   int32_t num_inputs = static_cast<int32_t>(inst.imm1);
-  auto t0 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point t0;
+  if (profiling_) t0 = std::chrono::steady_clock::now();
 
   if (entry.kind == PackedEntry::Kind::kKernel) {
-    std::vector<NDArray> inputs, outputs;
+    if (resolved.kernel == nullptr) {
+      resolved.kernel = &kernels::KernelRegistry::Global()->Get(entry.name);
+    }
+    // Empty the argument lists on every exit, a throwing kernel included:
+    // they must not keep tensors alive past the call.
+    struct ClearArgs {
+      std::vector<NDArray>& in;
+      std::vector<NDArray>& out;
+      ~ClearArgs() {
+        in.clear();
+        out.clear();
+      }
+    } clear_args{packed_inputs_, packed_outputs_};
     for (int32_t i = 0; i < num_inputs; ++i) {
-      inputs.push_back(AsTensor(frame.regs[inst.args[i]]));
+      packed_inputs_.push_back(AsTensor(frame.regs[inst.args[i]]));
     }
     for (size_t i = num_inputs; i < inst.args.size(); ++i) {
-      outputs.push_back(AsTensor(frame.regs[inst.args[i]]));
+      packed_outputs_.push_back(AsTensor(frame.regs[inst.args[i]]));
     }
     // Kernels resolve dispatch state through the bound executable, never
     // through process globals — the ownership contract that makes
@@ -332,47 +361,60 @@ void VirtualMachine::RunPacked(const Instruction& inst, Frame& frame) {
     ctx.dense_dispatch = &exec_->dispatch_table;
     ctx.dense_config = &exec_->dense_config;
     ctx.pool = codegen::KernelPool::Global();
-    kernels::KernelRegistry::Global()->Get(entry.name)(inputs, outputs,
-                                                       entry.attrs, ctx);
-    if (profiling_) {
-      auto t1 = std::chrono::steady_clock::now();
-      profile_.kernel_nanos +=
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    (*resolved.kernel)(packed_inputs_, packed_outputs_, entry.attrs, ctx);
+  } else {
+    // Shape function (§4.2). Inputs are shape tensors (data-independent /
+    // upper-bound modes) or raw data tensors (data-dependent mode); outputs
+    // are i64 shape tensors to fill in.
+    if (resolved.shape_func == nullptr) {
+      resolved.shape_func = &op::OpRegistry::Global()->Get(entry.name);
     }
-    return;
+    const op::OpInfo& info = *resolved.shape_func;
+    std::vector<runtime::ShapeVec> in_shapes;
+    std::vector<NDArray> in_data;
+    for (int32_t i = 0; i < num_inputs; ++i) {
+      const NDArray& arg = AsTensor(frame.regs[inst.args[i]]);
+      if (info.shape_mode == op::ShapeFuncMode::kDataDependent) {
+        in_shapes.push_back(arg.shape());
+        in_data.push_back(arg);
+      } else {
+        in_shapes.push_back(runtime::ShapeFromTensor(arg));
+      }
+    }
+    auto out_shapes = info.shape_fn(in_shapes, in_data, entry.attrs);
+    size_t num_outputs = inst.args.size() - num_inputs;
+    NIMBLE_CHECK_EQ(out_shapes.size(), num_outputs)
+        << "shape function output arity mismatch for " << entry.name;
+    for (size_t i = 0; i < num_outputs; ++i) {
+      const NDArray& out = AsTensor(frame.regs[inst.args[num_inputs + i]]);
+      NIMBLE_CHECK_EQ(out.num_elements(),
+                      static_cast<int64_t>(out_shapes[i].size()))
+          << "shape tensor rank mismatch for " << entry.name;
+      int64_t* p = out.data<int64_t>();
+      for (size_t d = 0; d < out_shapes[i].size(); ++d) p[d] = out_shapes[i][d];
+    }
   }
 
-  // Shape function (§4.2). Inputs are shape tensors (data-independent /
-  // upper-bound modes) or raw data tensors (data-dependent mode); outputs
-  // are i64 shape tensors to fill in.
-  const op::OpInfo& info = op::OpRegistry::Global()->Get(entry.name);
-  std::vector<runtime::ShapeVec> in_shapes;
-  std::vector<NDArray> in_data;
-  for (int32_t i = 0; i < num_inputs; ++i) {
-    const NDArray& arg = AsTensor(frame.regs[inst.args[i]]);
-    if (info.shape_mode == op::ShapeFuncMode::kDataDependent) {
-      in_shapes.push_back(arg.shape());
-      in_data.push_back(arg);
-    } else {
-      in_shapes.push_back(runtime::ShapeFromTensor(arg));
-    }
-  }
-  auto out_shapes = info.shape_fn(in_shapes, in_data, entry.attrs);
-  size_t num_outputs = inst.args.size() - num_inputs;
-  NIMBLE_CHECK_EQ(out_shapes.size(), num_outputs)
-      << "shape function output arity mismatch for " << entry.name;
-  for (size_t i = 0; i < num_outputs; ++i) {
-    const NDArray& out = AsTensor(frame.regs[inst.args[num_inputs + i]]);
-    NIMBLE_CHECK_EQ(out.num_elements(),
-                    static_cast<int64_t>(out_shapes[i].size()))
-        << "shape tensor rank mismatch for " << entry.name;
-    int64_t* p = out.data<int64_t>();
-    for (size_t d = 0; d < out_shapes[i].size(); ++d) p[d] = out_shapes[i][d];
-  }
   if (profiling_) {
-    auto t1 = std::chrono::steady_clock::now();
-    profile_.shape_func_nanos +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    if (entry.kind == PackedEntry::Kind::kKernel) {
+      profile_.kernel_nanos += ns;
+    } else {
+      profile_.shape_func_nanos += ns;
+    }
+    auto& rows = profile_.per_packed;
+    if (rows.size() <= static_cast<size_t>(inst.imm0)) {
+      rows.resize(exec_->packed.size());
+    }
+    VMProfile::PackedRow& row = rows[inst.imm0];
+    if (row.calls == 0) {
+      row.name = entry.name;
+      row.shape_func = entry.kind == PackedEntry::Kind::kShapeFunc;
+    }
+    row.calls++;
+    row.nanos += ns;
   }
 }
 

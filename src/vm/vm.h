@@ -2,17 +2,21 @@
 //
 // Loads an executable and runs its bytecode in a dispatch loop. Objects in
 // the register file are reference-counted and passed by reference, so
-// register operations are cheap regardless of payload size. The interpreter
-// optionally records a per-instruction-category time profile (used by the
-// Table 4 overhead study: kernel latency vs "other instructions").
+// register operations are cheap regardless of payload size. Each entry of
+// the executable's packed-call table is resolved to its kernel or shape
+// function once per bound executable, not looked up by name per call. The
+// interpreter optionally records a profile (VMProfile: packed-call time per
+// entry, kernel vs shape-function vs total time, instruction counts), used
+// by the Table 4 overhead study and the serving traces.
 //
 // Thread-safety contract (serving subsystem, src/serve/):
 //   A VirtualMachine instance is single-threaded — it owns a mutable frame
 //   stack and profile. Concurrency is achieved by running *many* VMs, one
 //   per worker thread, all sharing one immutable Executable (cheap: a VM is
-//   just a few pointers plus the recycled frame stack). Invoke is reusable:
-//   each call starts from a clean frame stack, whose backing storage is
-//   retained across calls so steady-state serving does not reallocate it.
+//   a few pointers, the resolved packed table and the recycled frame stack
+//   and argument lists). Invoke is reusable: each call starts from a clean
+//   frame stack, whose backing storage is retained across calls so
+//   steady-state serving does not reallocate it.
 #pragma once
 
 #include <array>
@@ -20,23 +24,37 @@
 #include <string>
 #include <vector>
 
+#include "src/kernels/registry.h"
 #include "src/runtime/allocator.h"
 #include "src/runtime/object.h"
 #include "src/support/logging.h"
 #include "src/vm/executable.h"
 
 namespace nimble {
+namespace op {
+struct OpInfo;
+}  // namespace op
+
 namespace vm {
 
+/// Execution profile, recorded only while profiling is on. Only packed
+/// calls (kernels and shape functions) and whole Invoke calls are timed;
+/// instructions are counted, not timed, so the profile costs two clock
+/// reads per packed call and per Invoke.
 struct VMProfile {
-  struct Entry {
-    int64_t count = 0;
+  /// Time in one entry of the bound executable's packed-call table.
+  struct PackedRow {
+    std::string name;  // kernel name, or op name for shape functions
+    bool shape_func = false;
+    int64_t calls = 0;
     int64_t nanos = 0;
   };
-  std::array<Entry, 20> per_opcode{};
+  std::array<int64_t, 20> per_opcode{};  // executed instructions per opcode
+  /// Indexed like Executable::packed; grows as entries run.
+  std::vector<PackedRow> per_packed;
   int64_t kernel_nanos = 0;      // InvokePacked on compute kernels
   int64_t shape_func_nanos = 0;  // InvokePacked on shape functions
-  int64_t total_nanos = 0;
+  int64_t total_nanos = 0;       // whole Invoke calls
   int64_t instructions = 0;
 
   int64_t other_nanos() const { return total_nanos - kernel_nanos; }
@@ -81,9 +99,10 @@ class VirtualMachine {
   /// Binds the VM to a different executable — how a serving pool worker
   /// switches between models. Equivalent to constructing a fresh VM minus
   /// the registry setup: the frame stack and profile are cleared, the
-  /// allocator binding is kept. Cheap (a shared_ptr swap), single-threaded
-  /// like Invoke: must not be called while Invoke is running, and only by
-  /// the owning thread. `exec` must not be null.
+  /// allocator binding is kept, and the new packed table is resolved. Cheap
+  /// (a shared_ptr swap plus one registry lookup per packed entry),
+  /// single-threaded like Invoke: must not be called while Invoke is
+  /// running, and only by the owning thread. `exec` must not be null.
   void Rebind(std::shared_ptr<Executable> exec);
 
   /// Returns the VM to its post-construction state: clears the frame stack
@@ -104,14 +123,27 @@ class VirtualMachine {
                       runtime::ObjectRef* final_result, bool* done);
 
   void RunPacked(const Instruction& inst, Frame& frame);
+  /// Resolves exec_'s packed table into resolved_ (one slot per entry).
+  void ResolvePacked();
+
+  /// A packed-table entry's kernel or shape function. Null until the name
+  /// is registered; RunPacked then looks it up (and throws if absent).
+  struct ResolvedEntry {
+    const kernels::ContextKernelFn* kernel = nullptr;
+    const op::OpInfo* shape_func = nullptr;
+  };
 
   std::shared_ptr<Executable> exec_;
+  std::vector<ResolvedEntry> resolved_;  // indexed like exec_->packed
   runtime::Allocator* allocator_;
   bool profiling_ = false;
   VMProfile profile_;
   /// Frame stack, recycled across Invoke calls (capacity is retained so
   /// repeated invocations don't reallocate it).
   std::vector<Frame> stack_;
+  /// Kernel argument lists, refilled per packed call and emptied after it
+  /// (so they keep their capacity but no tensor).
+  std::vector<runtime::NDArray> packed_inputs_, packed_outputs_;
 };
 
 }  // namespace vm

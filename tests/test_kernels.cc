@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "src/codegen/dispatch.h"
 #include "src/codegen/parallel.h"
 #include "src/codegen/tuner.h"
+#include "src/kernels/elementwise.h"
 #include "src/kernels/registry.h"
 #include "src/support/rng.h"
 
@@ -554,6 +556,309 @@ TEST(Elemwise, CastBetweenTypes) {
   kernels::RunKernel("cast", {a}, {out}, ir::Attrs().Set("dtype", std::string("int64")));
   EXPECT_EQ(out.data<int64_t>()[0], 1);
   EXPECT_EQ(out.data<int64_t>()[1], -2);
+}
+
+// ---- hoisted elementwise loops vs a per-element switch -----------------------
+//
+// The kernels pick each EwOp once per call and run one specialized loop.
+// The reference here is the form they replaced: a switch on the op for
+// every element, over the scalar transcendentals as they were written with
+// early returns. Every output must match it bit for bit (two NaNs count as
+// equal: which payload survives an op on two NaNs is up to the hardware).
+
+float RefFastExp(float x) {
+  if (x > 88.0f) x = 88.0f;
+  if (x < -88.0f) return 0.0f;
+  float z = x * 1.44269504088896341f + 0.5f;
+  float nf = static_cast<float>(static_cast<int32_t>(z - (z < 0.0f)));
+  float r = x - nf * 0.693359375f;
+  r -= nf * -2.12194440e-4f;
+  float rr = r * r;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  float y = p * rr + r + 1.0f;
+  int32_t n = static_cast<int32_t>(nf);
+  int32_t bits = (n + 127) << 23;
+  float pow2;
+  std::memcpy(&pow2, &bits, sizeof(pow2));
+  return y * pow2;
+}
+
+float RefFastTanh(float x) {
+  float ax = x < 0.0f ? -x : x;
+  if (ax > 9.0f) return x < 0.0f ? -1.0f : 1.0f;
+  float t = 1.0f - 2.0f / (RefFastExp(2.0f * ax) + 1.0f);
+  return x < 0.0f ? -t : t;
+}
+
+float RefEw(kernels::EwOp op, float a, float b) {
+  using kernels::EwOp;
+  switch (op) {
+    case EwOp::kAdd: return a + b;
+    case EwOp::kSubtract: return a - b;
+    case EwOp::kMultiply: return a * b;
+    case EwOp::kDivide: return a / b;
+    case EwOp::kMaximum: return a > b ? a : b;
+    case EwOp::kMinimum: return a < b ? a : b;
+    case EwOp::kSigmoid: return 1.0f / (1.0f + RefFastExp(-a));
+    case EwOp::kTanh: return RefFastTanh(a);
+    case EwOp::kRelu: return a > 0.0f ? a : 0.0f;
+    case EwOp::kExp: return std::exp(a);
+    case EwOp::kNegative: return -a;
+    case EwOp::kSqrt: return std::sqrt(a);
+    case EwOp::kErf: return std::erf(a);
+    case EwOp::kGelu:
+      return 0.5f * a * (1.0f + std::erf(a * 0.70710678118654752f));
+  }
+  return 0.0f;
+}
+
+int64_t RefEwInt(kernels::EwOp op, int64_t a, int64_t b) {
+  using kernels::EwOp;
+  switch (op) {
+    case EwOp::kAdd: return a + b;
+    case EwOp::kSubtract: return a - b;
+    case EwOp::kMultiply: return a * b;
+    case EwOp::kDivide: return a / b;
+    case EwOp::kMaximum: return a > b ? a : b;
+    default: return a < b ? a : b;
+  }
+}
+
+struct NamedOp {
+  std::string name;
+  kernels::EwOp op;
+  bool binary;
+};
+
+std::vector<NamedOp> AllEwOps() {
+  const char* names[] = {"add",     "subtract", "multiply", "divide",
+                         "maximum", "minimum",  "sigmoid",  "tanh",
+                         "relu",    "exp",      "negative", "sqrt",
+                         "erf",     "gelu"};
+  std::vector<NamedOp> ops;
+  for (const char* name : names) {
+    NamedOp n{name, kernels::EwOp::kAdd, false};
+    EXPECT_TRUE(kernels::EwOpFromName(name, &n.op, &n.binary)) << name;
+    ops.push_back(n);
+  }
+  return ops;
+}
+
+/// n floats cycling through NaN, +-inf, +-0, denormals, saturation edges of
+/// the fast exp/tanh and seeded uniform values in [-12, 12].
+NDArray EdgeValues(ShapeVec shape, uint64_t seed) {
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40f,
+                            88.5f,
+                            -88.5f,
+                            -87.9f,
+                            9.5f,
+                            -9.5f,
+                            1e30f};
+  const size_t num_special = sizeof(kSpecial) / sizeof(kSpecial[0]);
+  support::Rng rng(seed);
+  NDArray a = NDArray::Empty(std::move(shape), DataType::Float32());
+  float* p = a.data<float>();
+  for (int64_t i = 0; i < a.num_elements(); ++i) {
+    // Specials at seeded positions, roughly one element in three.
+    size_t pick = static_cast<size_t>(rng.Uniform() * 3 * num_special);
+    p[i] = pick < num_special ? kSpecial[pick]
+                              : static_cast<float>(rng.Uniform(-12.0, 12.0));
+  }
+  return a;
+}
+
+bool SameBits(float x, float y) {
+  if (std::isnan(x) && std::isnan(y)) return true;
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+void ExpectSameBits(const NDArray& got, const std::vector<float>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.num_elements(), static_cast<int64_t>(want.size())) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    float g = got.data<float>()[i];
+    ASSERT_TRUE(SameBits(g, want[i]))
+        << what << " element " << i << ": got " << g << ", want " << want[i];
+  }
+}
+
+const int64_t kEwLengths[] = {1, 7, 15, 16, 17, 1000};
+
+TEST(ElemwiseHoisted, StandaloneKernelsMatchPerElementSwitch) {
+  for (const NamedOp& op : AllEwOps()) {
+    for (int64_t len : kEwLengths) {
+      std::string what = op.name + " len " + std::to_string(len);
+      NDArray a = EdgeValues({3, len}, 100 + len);
+      const float* pa = a.data<float>();
+      NDArray out = NDArray::Empty({3, len}, DataType::Float32());
+      std::vector<float> want(static_cast<size_t>(3 * len));
+      if (!op.binary) {
+        kernels::RunKernel(op.name, {a}, {out});
+        for (size_t i = 0; i < want.size(); ++i) {
+          want[i] = RefEw(op.op, pa[i], 0.0f);
+        }
+        ExpectSameBits(out, want, what);
+        continue;
+      }
+      NDArray b = EdgeValues({3, len}, 200 + len);
+      NDArray row = EdgeValues({len}, 300 + len);
+      NDArray col = EdgeValues({3, 1}, 400 + len);
+      NDArray scalar = NDArray::Scalar<float>(-1.5f);
+      const float* pb = b.data<float>();
+      const float* prow = row.data<float>();
+      const float* pcol = col.data<float>();
+      float s = scalar.data<float>()[0];
+      auto check = [&](const std::vector<NDArray>& in, const char* form,
+                       auto ref) {
+        kernels::RunKernel(op.name, in, {out});
+        for (int64_t r = 0; r < 3; ++r) {
+          for (int64_t j = 0; j < len; ++j) {
+            want[r * len + j] = ref(r, j);
+          }
+        }
+        ExpectSameBits(out, want, what + " " + form);
+      };
+      check({a, b}, "same shape",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, pa[r * len + j], pb[r * len + j]);
+            });
+      check({a, scalar}, "scalar rhs",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, pa[r * len + j], s);
+            });
+      check({scalar, a}, "scalar lhs",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, s, pa[r * len + j]);
+            });
+      check({a, row}, "row broadcast",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, pa[r * len + j], prow[j]);
+            });
+      check({a, col}, "column broadcast",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, pa[r * len + j], pcol[r]);
+            });
+      check({col, row}, "column x row broadcast",
+            [&](int64_t r, int64_t j) {
+              return RefEw(op.op, pcol[r], prow[j]);
+            });
+      // The broadcast entry point the codegen layer calls directly.
+      kernels::BroadcastBinaryF32(op.op, row, a, out);
+      for (int64_t r = 0; r < 3; ++r) {
+        for (int64_t j = 0; j < len; ++j) {
+          want[r * len + j] = RefEw(op.op, prow[j], pa[r * len + j]);
+        }
+      }
+      ExpectSameBits(out, want, what + " BroadcastBinaryF32");
+    }
+  }
+}
+
+TEST(ElemwiseHoisted, FusedChainsMatchPerElementSwitch) {
+  // One chain per op: a unary op is one rhs_kind 0 step; a binary op runs
+  // as rhs_kind 1 (same-shape tensor), 2 (scalar) and 3 (row vector).
+  for (const NamedOp& op : AllEwOps()) {
+    for (int64_t len : kEwLengths) {
+      std::string what = op.name + " len " + std::to_string(len);
+      NDArray root = EdgeValues({3, len}, 500 + len);
+      NDArray same = EdgeValues({3, len}, 600 + len);
+      NDArray scalar = NDArray::Scalar<float>(0.75f);
+      NDArray row = EdgeValues({len}, 700 + len);
+      int64_t code = static_cast<int64_t>(op.op);
+      std::vector<int64_t> steps =
+          op.binary ? std::vector<int64_t>{code, 1, 1, code, 2, 2, code, 3, 3}
+                    : std::vector<int64_t>{code, 0, 0};
+      ir::Attrs attrs;
+      attrs.Set("steps", steps);
+      NDArray out = NDArray::Empty({3, len}, DataType::Float32());
+      kernels::RunKernel("fused_elemwise", {root, same, scalar, row}, {out},
+                         attrs);
+      std::vector<float> want(static_cast<size_t>(3 * len));
+      for (int64_t r = 0; r < 3; ++r) {
+        for (int64_t j = 0; j < len; ++j) {
+          int64_t i = r * len + j;
+          float v = root.data<float>()[i];
+          if (op.binary) {
+            v = RefEw(op.op, v, same.data<float>()[i]);
+            v = RefEw(op.op, v, scalar.data<float>()[0]);
+            v = RefEw(op.op, v, row.data<float>()[j]);
+          } else {
+            v = RefEw(op.op, v, 0.0f);
+          }
+          want[static_cast<size_t>(i)] = v;
+        }
+      }
+      ExpectSameBits(out, want, what);
+    }
+  }
+}
+
+TEST(ElemwiseHoisted, FusedDenseEpilogueMatchesPerElementSwitch) {
+  // The served epilogue shape: dense, then + tensor, + bias row, sigmoid.
+  for (int64_t len : kEwLengths) {
+    NDArray x = Rand({3, 8}, 31), w = Rand({len, 8}, 32);
+    NDArray extra = EdgeValues({3, len}, 800 + len);
+    NDArray bias = EdgeValues({len}, 900 + len);
+    ir::Attrs attrs;
+    attrs.Set("steps", std::vector<int64_t>{0, 1, 2, 0, 3, 3, 6, 0, 0});
+    NDArray fused = NDArray::Empty({3, len}, DataType::Float32());
+    kernels::RunKernel("fused_dense", {x, w, extra, bias}, {fused}, attrs);
+    NDArray d = NDArray::Empty({3, len}, DataType::Float32());
+    kernels::RunKernel("nn.dense", {x, w}, {d});
+    std::vector<float> want(static_cast<size_t>(3 * len));
+    for (int64_t r = 0; r < 3; ++r) {
+      for (int64_t j = 0; j < len; ++j) {
+        int64_t i = r * len + j;
+        float v = RefEw(kernels::EwOp::kAdd, d.data<float>()[i],
+                        extra.data<float>()[i]);
+        v = RefEw(kernels::EwOp::kAdd, v, bias.data<float>()[j]);
+        want[static_cast<size_t>(i)] = RefEw(kernels::EwOp::kSigmoid, v, 0.0f);
+      }
+    }
+    ExpectSameBits(fused, want, "len " + std::to_string(len));
+  }
+}
+
+TEST(ElemwiseHoisted, IntegerBinaryMatchesPerElementSwitch) {
+  support::Rng rng(41);
+  for (const NamedOp& op : AllEwOps()) {
+    if (!op.binary) continue;
+    for (int64_t len : kEwLengths) {
+      std::vector<int64_t> va(static_cast<size_t>(len)),
+          vb(static_cast<size_t>(len));
+      for (int64_t i = 0; i < len; ++i) {
+        va[i] = static_cast<int64_t>(rng.Uniform(-1e6, 1e6));
+        vb[i] = static_cast<int64_t>(rng.Uniform(1, 1000)) * (i % 2 ? -1 : 1);
+      }
+      NDArray a = NDArray::FromVector<int64_t>(va, {len});
+      NDArray b = NDArray::FromVector<int64_t>(vb, {len});
+      NDArray out = NDArray::Empty({len}, DataType::Int64());
+      kernels::RunKernel(op.name, {a, b}, {out});
+      std::vector<int32_t> va32(va.begin(), va.end()), vb32(vb.begin(), vb.end());
+      NDArray a32 = NDArray::FromVector<int32_t>(va32, {len});
+      NDArray b32 = NDArray::FromVector<int32_t>(vb32, {len});
+      NDArray out32 = NDArray::Empty({len}, DataType::Int32());
+      kernels::RunKernel(op.name, {a32, b32}, {out32});
+      for (int64_t i = 0; i < len; ++i) {
+        int64_t want = RefEwInt(op.op, va[i], vb[i]);
+        ASSERT_EQ(out.data<int64_t>()[i], want) << op.name << " i64 " << i;
+        ASSERT_EQ(out32.data<int32_t>()[i], static_cast<int32_t>(want))
+            << op.name << " i32 " << i;
+      }
+    }
+  }
 }
 
 // ---- nn kernels --------------------------------------------------------------

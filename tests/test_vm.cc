@@ -3,11 +3,17 @@
 // profiler.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <sstream>
 
 #include "src/codegen/dispatch.h"
 #include "src/core/compiler.h"
 #include "src/ir/module.h"
+#include "src/models/bert.h"
+#include "src/models/lstm.h"
+#include "src/models/tree_lstm.h"
+#include "src/models/workloads.h"
 #include "src/op/registry.h"
 #include "src/support/rng.h"
 #include "src/vm/compiler.h"
@@ -191,8 +197,7 @@ TEST(VM, ProfilerSplitsKernelTime) {
   EXPECT_GT(prof.instructions, 0);
   EXPECT_GT(prof.kernel_nanos, 0);
   EXPECT_GT(prof.total_nanos, prof.kernel_nanos);
-  EXPECT_GT(prof.per_opcode[static_cast<size_t>(vm::Opcode::kInvokePacked)].count,
-            0);
+  EXPECT_GT(prof.per_opcode[static_cast<size_t>(vm::Opcode::kInvokePacked)], 0);
 }
 
 // ---- per-executable dispatch ownership ------------------------------------------
@@ -406,6 +411,165 @@ TEST(VMRegisters, KillRecyclesRegisters) {
   const auto& fn = exec->functions[exec->FunctionIndex("main")];
   EXPECT_LT(fn.register_file_size, 40)
       << "register recycling via kill should bound the frame size";
+}
+
+// ---- packed-call resolution, dead result registers, packed-call profile ------
+
+/// The three paper models, compiled as the serving layer compiles them
+/// (the LSTM with its batched and single-step twins), plus one input each.
+struct PaperModel {
+  std::string name;
+  std::shared_ptr<vm::Executable> exec;
+  std::vector<runtime::ObjectRef> args;
+};
+
+std::vector<PaperModel> PaperModels() {
+  std::vector<PaperModel> out;
+  support::Rng rng(5);
+  {
+    models::LSTMConfig config;
+    config.input_size = 16;
+    config.hidden_size = 24;
+    config.emit_batched = true;
+    auto model = models::BuildLSTM(config);
+    core::CompileOptions options;
+    options.batched_entries = {model.batched_spec};
+    NDArray x = models::RandomSequence(6, config.input_size, rng);
+    out.push_back({"lstm", core::Compile(model.module, options).executable,
+                   {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(6))}});
+  }
+  {
+    models::TreeLSTMConfig config;
+    config.input_size = 10;
+    config.hidden_size = 12;
+    auto model = models::BuildTreeLSTM(config);
+    auto tree = models::RandomTree(5, config.input_size, rng);
+    out.push_back({"tree_lstm", core::Compile(model.module).executable,
+                   {models::TreeToObject(*tree)}});
+  }
+  {
+    models::BERTConfig config;
+    config.num_layers = 1;
+    config.hidden = 32;
+    config.num_heads = 2;
+    config.ffn_hidden = 64;
+    config.vocab = 50;
+    auto model = models::BuildBERT(config);
+    auto ids = models::RandomTokenIds(7, config.vocab, rng);
+    out.push_back({"bert", core::Compile(model.module).executable,
+                   {MakeTensor(NDArray::FromVector(ids, {7}))}});
+  }
+  return out;
+}
+
+TEST(VMCompiler, EveryReadRegisterIsWritten) {
+  // memory.invoke_mut and vm.shape_func yield no value, so the compiler
+  // gives their result no register. Every register an instruction reads
+  // must therefore be a parameter or some instruction's destination.
+  for (const PaperModel& model : PaperModels()) {
+    for (const vm::VMFunction& fn : model.exec->functions) {
+      std::set<vm::RegName> written;
+      for (vm::RegName r = 0; r < fn.num_params; ++r) written.insert(r);
+      for (const vm::Instruction& inst : fn.instructions) {
+        if (inst.dst >= 0) written.insert(inst.dst);
+      }
+      for (size_t pc = 0; pc < fn.instructions.size(); ++pc) {
+        for (vm::RegName r : fn.instructions[pc].args) {
+          EXPECT_TRUE(written.count(r) > 0)
+              << model.name << " @" << fn.name << " pc " << pc << " reads r"
+              << r << ", which nothing writes";
+        }
+      }
+    }
+  }
+}
+
+TEST(VMCompiler, LSTMStepHasNoLoadConsti) {
+  const PaperModel lstm = PaperModels().front();
+  const vm::VMFunction& step =
+      lstm.exec->functions[lstm.exec->FunctionIndex("main_step")];
+  int64_t packed = 0;
+  for (const vm::Instruction& inst : step.instructions) {
+    EXPECT_NE(inst.op, vm::Opcode::kLoadConsti)
+        << "dead result load in @main_step";
+    if (inst.op == vm::Opcode::kInvokePacked) ++packed;
+  }
+  EXPECT_GT(packed, 0);
+}
+
+bool SameBits(const NDArray& a, const NDArray& b) {
+  return a.shape() == b.shape() && a.nbytes() == b.nbytes() &&
+         std::memcmp(a.raw_data(), b.raw_data(), a.nbytes()) == 0;
+}
+
+TEST(VMProfile, ProfilingDoesNotChangeOutputs) {
+  for (const PaperModel& model : PaperModels()) {
+    vm::VirtualMachine plain(model.exec);
+    vm::VirtualMachine profiled(model.exec);
+    profiled.EnableProfiling(true);
+    NDArray a = AsTensor(plain.Invoke("main", model.args));
+    NDArray b = AsTensor(profiled.Invoke("main", model.args));
+    EXPECT_TRUE(SameBits(a, b)) << model.name;
+    EXPECT_GT(profiled.profile().instructions, 0) << model.name;
+    EXPECT_EQ(plain.profile().instructions, 0) << model.name;
+  }
+}
+
+TEST(VMProfile, PackedRowsAccountForEveryPackedCall) {
+  for (const PaperModel& model : PaperModels()) {
+    vm::VirtualMachine machine(model.exec);
+    machine.EnableProfiling(true);
+    for (int i = 0; i < 3; ++i) machine.Invoke("main", model.args);
+    const vm::VMProfile& prof = machine.profile();
+    EXPECT_LE(prof.kernel_nanos + prof.shape_func_nanos, prof.total_nanos)
+        << model.name;
+    int64_t calls = 0, nanos = 0;
+    ASSERT_LE(prof.per_packed.size(), model.exec->packed.size());
+    for (size_t i = 0; i < prof.per_packed.size(); ++i) {
+      const vm::VMProfile::PackedRow& row = prof.per_packed[i];
+      if (row.calls == 0) continue;
+      EXPECT_EQ(row.name, model.exec->packed[i].name) << model.name;
+      calls += row.calls;
+      nanos += row.nanos;
+    }
+    EXPECT_EQ(calls,
+              prof.per_opcode[static_cast<size_t>(vm::Opcode::kInvokePacked)])
+        << model.name;
+    EXPECT_EQ(nanos, prof.kernel_nanos + prof.shape_func_nanos) << model.name;
+    int64_t instructions = 0;
+    for (int64_t count : prof.per_opcode) instructions += count;
+    EXPECT_EQ(instructions, prof.instructions) << model.name;
+  }
+}
+
+TEST(VM, AlternatingRebindResolvesEachPackedTable) {
+  // Two executables whose packed tables hold different kernels at the same
+  // index: a VM resolving entries once per executable must re-resolve on
+  // every Rebind, or it runs the other model's kernel.
+  Var x = MakeVar("x", TensorType(std::vector<int64_t>{4}));
+  auto sub = CompileMain(MakeFunction({x}, op::Call2("subtract", x, x)));
+  Var y = MakeVar("y", TensorType(std::vector<int64_t>{4}));
+  auto mul = CompileMain(MakeFunction(
+      {y}, op::Call2("divide", y, op::Call2("add", y, y))));
+  ASSERT_FALSE(sub->packed.empty());
+  ASSERT_FALSE(mul->packed.empty());
+  ASSERT_NE(sub->packed[0].name, mul->packed[0].name);
+  NDArray in = NDArray::FromVector<float>({1, 2, 3, 4}, {4});
+  vm::VirtualMachine machine(sub);
+  for (int round = 0; round < 4; ++round) {
+    machine.Rebind(round % 2 == 0 ? sub : mul);
+    machine.EnableProfiling(true);
+    NDArray out = AsTensor(machine.Invoke("main", {MakeTensor(in)}));
+    float want = round % 2 == 0 ? 0.0f : 0.5f;
+    for (int64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(out.data<float>()[i], want) << "round " << round;
+    }
+    const auto& rows = machine.profile().per_packed;
+    const auto& table = machine.executable().packed;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].calls > 0) EXPECT_EQ(rows[i].name, table[i].name);
+    }
+  }
 }
 
 }  // namespace
