@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/codegen/parallel.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/registry.h"
 
@@ -120,8 +121,11 @@ NDArray StaticBERTRuntime::Run(const std::vector<int64_t>& ids) {
   NIMBLE_CHECK_EQ(static_cast<int64_t>(ids.size()), seq_len_)
       << "static runtime compiled for a fixed sequence length";
   std::memcpy(ids_buffer_.raw_data(), ids.data(), ids.size() * sizeof(int64_t));
+  // The same kernel pool the VM passes, so Table 4 compares the runtimes,
+  // not their intra-op parallelism.
   kernels::KernelContext ctx;
   ctx.dense_dispatch = &dispatch_;
+  ctx.pool = codegen::KernelPool::Global();
   for (const Step& step : steps_) {
     kernels::KernelRegistry::Global()->Get(step.kernel)(step.inputs,
                                                         step.outputs,

@@ -16,6 +16,14 @@ size_t RoundUpBucket(size_t n) {
   if (n < 16) n = 16;
   return (n + 255) / 256 * 256;
 }
+
+/// What SystemAlloc hands out for a request: `size` padded to the
+/// (at least max_align_t) alignment, never zero.
+size_t SystemBlockSize(size_t size, size_t alignment) {
+  if (alignment < alignof(std::max_align_t)) alignment = alignof(std::max_align_t);
+  size_t padded = (size + alignment - 1) / alignment * alignment;
+  return padded == 0 ? alignment : padded;
+}
 }  // namespace
 
 Buffer::~Buffer() {
@@ -61,9 +69,8 @@ void Allocator::AddLive(int64_t bytes) {
 
 std::shared_ptr<Buffer> Allocator::SystemAlloc(size_t size, size_t alignment,
                                                Device device) {
+  size_t padded = SystemBlockSize(size, alignment);
   if (alignment < alignof(std::max_align_t)) alignment = alignof(std::max_align_t);
-  size_t padded = (size + alignment - 1) / alignment * alignment;
-  if (padded == 0) padded = alignment;
   void* ptr = std::aligned_alloc(alignment, padded);
   NIMBLE_CHECK(ptr != nullptr) << "allocation of " << size << " bytes failed";
   auto buf = std::make_shared<Buffer>();
@@ -78,6 +85,10 @@ std::shared_ptr<Buffer> Allocator::SystemAlloc(size_t size, size_t alignment,
 void Allocator::SystemFree(Buffer* buffer) {
   std::free(buffer->data);
   buffer->data = nullptr;
+}
+
+size_t Allocator::BlockSize(size_t size, size_t alignment) const {
+  return SystemBlockSize(size, alignment);
 }
 
 void Allocator::Free(Buffer* buffer) {
@@ -101,6 +112,12 @@ std::shared_ptr<Buffer> NaiveAllocator::Alloc(size_t size, size_t alignment,
 }
 
 PoolingAllocator::~PoolingAllocator() { Trim(); }
+
+size_t PoolingAllocator::BlockSize(size_t size, size_t alignment) const {
+  // A miss pads the bucket like SystemAlloc; a hit hands out the bucket,
+  // which is the same size for every alignment up to 256.
+  return SystemBlockSize(RoundUpBucket(size), alignment);
+}
 
 std::shared_ptr<Buffer> PoolingAllocator::Alloc(size_t size, size_t alignment,
                                                 Device device) {

@@ -90,6 +90,11 @@ class Allocator {
   /// Called by ~Buffer. Default releases to the OS.
   virtual void Free(Buffer* buffer);
 
+  /// The size of the block Alloc(size, alignment, ...) hands out, so a
+  /// holder of a block can tell whether a fresh one would be the same (the
+  /// VM's recycle table). Default: the OS allocation's padded size.
+  virtual size_t BlockSize(size_t size, size_t alignment) const;
+
   /// Merged snapshot of the sharded counters (minus the ResetStats
   /// baseline) plus the exact live/peak pair. Lock-free on the counters;
   /// takes the mutex only to read the baseline consistently.
@@ -158,6 +163,7 @@ class PoolingAllocator : public Allocator {
 
   std::shared_ptr<Buffer> Alloc(size_t size, size_t alignment, Device device) override;
   void Free(Buffer* buffer) override;
+  size_t BlockSize(size_t size, size_t alignment) const override;
 
   /// Releases every cached block back to the OS. Thread-safe (takes the
   /// allocator mutex); safe while other threads allocate, though it only

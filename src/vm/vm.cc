@@ -1,5 +1,6 @@
 #include "src/vm/vm.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -19,8 +20,39 @@ using runtime::DataType;
 using runtime::DTypeCode;
 using runtime::NDArray;
 using runtime::ObjectRef;
+using runtime::StorageObj;
 
 namespace {
+
+/// Whether an AllocStorage may hand out `slot`'s storage again: the table
+/// holds the only reference to the object and to its buffer, and the
+/// buffer is the block `allocator` would hand out for this request.
+bool ReusableStorage(const ObjectRef& slot, size_t size,
+                     runtime::Device device, runtime::Allocator* allocator) {
+  if (slot == nullptr || slot.use_count() != 1) return false;
+  const auto& buffer = static_cast<const StorageObj&>(*slot).buffer;
+  return buffer.use_count() == 1 && buffer->source == allocator &&
+         buffer->device == device &&
+         buffer->size == allocator->BlockSize(size, 64);
+}
+
+/// Whether a ShapeOf may overwrite `slot`'s shape tensor in place: the table
+/// holds the only reference to the tensor and to its buffer, and its rank
+/// matches.
+bool ReusableShape(const ObjectRef& slot, size_t rank) {
+  if (slot == nullptr || slot.use_count() != 1) return false;
+  const NDArray& shape = static_cast<const runtime::TensorObj&>(*slot).data;
+  return shape.storage().use_count() == 1 &&
+         shape.num_elements() == static_cast<int64_t>(rank);
+}
+
+/// The buffer a recycle-table entry owns.
+const std::shared_ptr<runtime::Buffer>& EntryBuffer(const ObjectRef& entry) {
+  if (entry->tag() == runtime::ObjectTag::kStorage) {
+    return static_cast<const StorageObj&>(*entry).buffer;
+  }
+  return static_cast<const runtime::TensorObj&>(*entry).data.storage();
+}
 
 /// Reads an integral scalar condition/tag value from a register object.
 int64_t ReadScalarInt(const ObjectRef& obj) {
@@ -68,10 +100,10 @@ VirtualMachine::VirtualMachine(std::shared_ptr<Executable> exec,
                                       : runtime::GlobalPoolingAllocator()) {
   kernels::EnsureKernelsRegistered();
   op::EnsureOpsRegistered();
-  if (exec_ != nullptr) ResolvePacked();
+  if (exec_ != nullptr) Bind();
 }
 
-void VirtualMachine::ResolvePacked() {
+void VirtualMachine::Bind() {
   resolved_.assign(exec_->packed.size(), ResolvedEntry{});
   for (size_t i = 0; i < resolved_.size(); ++i) {
     const PackedEntry& entry = exec_->packed[i];
@@ -81,17 +113,52 @@ void VirtualMachine::ResolvePacked() {
       resolved_[i].shape_func = op::OpRegistry::Global()->Find(entry.name);
     }
   }
+  constants_.clear();
+  for (const NDArray& constant : exec_->constants) {
+    constants_.push_back(runtime::MakeTensor(constant));
+  }
+  func_base_.clear();
+  consti_.clear();
+  for (const VMFunction& fn : exec_->functions) {
+    func_base_.push_back(consti_.size());
+    for (const Instruction& inst : fn.instructions) {
+      consti_.push_back(inst.op == Opcode::kLoadConsti
+                            ? runtime::MakeTensor(
+                                  NDArray::Scalar<int64_t>(inst.imm0))
+                            : nullptr);
+    }
+  }
+  recycled_.assign(consti_.size(), nullptr);
+}
+
+void VirtualMachine::ClearRecycled() {
+  std::fill(recycled_.begin(), recycled_.end(), nullptr);
+}
+
+void VirtualMachine::EvictEscaped() {
+  // Called once the last frame is gone: besides the table, only the result
+  // being returned can still reference an entry, so any other reference
+  // means the entry escapes with it. Evicting here is what keeps reuse
+  // single-threaded: the caller may drop the result on another thread,
+  // and use_count() would not order that release before a reuse.
+  for (ObjectRef& entry : recycled_) {
+    if (entry != nullptr &&
+        (entry.use_count() != 1 || EntryBuffer(entry).use_count() != 1)) {
+      entry = nullptr;
+    }
+  }
 }
 
 void VirtualMachine::set_allocator(runtime::Allocator* allocator) {
   NIMBLE_CHECK(allocator != nullptr) << "allocator must not be null";
   allocator_ = allocator;
+  ClearRecycled();
 }
 
 void VirtualMachine::Rebind(std::shared_ptr<Executable> exec) {
   NIMBLE_CHECK(exec != nullptr) << "cannot rebind a VM to a null executable";
   exec_ = std::move(exec);
-  ResolvePacked();
+  Bind();
   Reset();
 }
 
@@ -99,6 +166,7 @@ void VirtualMachine::Reset() {
   stack_.clear();
   packed_inputs_.clear();
   packed_outputs_.clear();
+  ClearRecycled();
   profile_.Reset();
 }
 
@@ -165,6 +233,7 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
       RegName dst = frame.caller_dst;
       stack.pop_back();
       if (stack.empty()) {
+        EvictEscaped();
         *final_result = std::move(value);
         *done = true;
       } else {
@@ -219,8 +288,11 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
         DataType dtype(static_cast<DTypeCode>(inst.imm1));
         size = static_cast<size_t>(runtime::NumElements(shape)) * dtype.bytes();
       }
-      reg(inst.dst) = std::make_shared<runtime::StorageObj>(
-          allocator_->Alloc(size, 64, device));
+      ObjectRef& slot = RecycleSlot(frame);
+      if (!ReusableStorage(slot, size, device, allocator_)) {
+        slot = std::make_shared<StorageObj>(allocator_->Alloc(size, 64, device));
+      }
+      reg(inst.dst) = slot;
       frame.pc++;
       break;
     }
@@ -284,11 +356,11 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
       frame.pc += static_cast<size_t>(inst.imm0);
       break;
     case Opcode::kLoadConst:
-      reg(inst.dst) = runtime::MakeTensor(exec_->constants[inst.imm0]);
+      reg(inst.dst) = constants_[inst.imm0];
       frame.pc++;
       break;
     case Opcode::kLoadConsti:
-      reg(inst.dst) = runtime::MakeTensor(NDArray::Scalar<int64_t>(inst.imm0));
+      reg(inst.dst) = consti_[func_base_[frame.func_index] + frame.pc];
       frame.pc++;
       break;
     case Opcode::kDeviceCopy: {
@@ -299,8 +371,15 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
       break;
     }
     case Opcode::kShapeOf: {
-      const NDArray& t = AsTensor(reg(inst.args[0]));
-      reg(inst.dst) = runtime::MakeTensor(runtime::ShapeTensor(t.shape()));
+      const runtime::ShapeVec& shape = AsTensor(reg(inst.args[0])).shape();
+      ObjectRef& slot = RecycleSlot(frame);
+      if (ReusableShape(slot, shape.size())) {
+        int64_t* dims = AsTensor(slot).data<int64_t>();
+        std::copy(shape.begin(), shape.end(), dims);
+      } else {
+        slot = runtime::MakeTensor(runtime::ShapeTensor(shape));
+      }
+      reg(inst.dst) = slot;
       frame.pc++;
       break;
     }

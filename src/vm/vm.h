@@ -17,6 +17,16 @@
 //   and argument lists). Invoke is reusable: each call starts from a clean
 //   frame stack, whose backing storage is retained across calls so
 //   steady-state serving does not reallocate it.
+//
+// Recycling: repeated invocations of a function reuse each AllocStorage's
+// storage and each ShapeOf's shape tensor from the previous execution of
+// the same instruction (the recycle table, one slot per (function, pc)), and
+// LoadConst/LoadConsti return objects built once per bound executable. An
+// object is reused only while the table holds the sole reference to it and
+// to its buffer. At the outermost Ret every entry the result still
+// references is evicted, so a recycled buffer has only ever been referenced
+// by this VM's registers on its own thread and a caller's result is never
+// overwritten. Reset, Rebind and set_allocator empty the table.
 #pragma once
 
 #include <array>
@@ -92,22 +102,24 @@ class VirtualMachine {
   const std::shared_ptr<Executable>& executable_ptr() const { return exec_; }
   runtime::Allocator* allocator() const { return allocator_; }
 
-  /// Redirects allocations (e.g. to a per-worker pool). Must not be called
-  /// while Invoke is running.
+  /// Redirects allocations (e.g. to a per-worker pool) and empties the
+  /// recycle table. Must not be called while Invoke is running.
   void set_allocator(runtime::Allocator* allocator);
 
   /// Binds the VM to a different executable — how a serving pool worker
   /// switches between models. Equivalent to constructing a fresh VM minus
-  /// the registry setup: the frame stack and profile are cleared, the
-  /// allocator binding is kept, and the new packed table is resolved. Cheap
-  /// (a shared_ptr swap plus one registry lookup per packed entry),
+  /// the registry setup: the frame stack, recycle table and profile are
+  /// cleared, the allocator binding is kept, and the new packed table and
+  /// constant objects are built. Cheap (a shared_ptr swap plus one registry
+  /// lookup per packed entry and one small object per constant),
   /// single-threaded like Invoke: must not be called while Invoke is
   /// running, and only by the owning thread. `exec` must not be null.
   void Rebind(std::shared_ptr<Executable> exec);
 
   /// Returns the VM to its post-construction state: clears the frame stack
-  /// (releasing any objects retained by an Invoke that threw) and the
-  /// profile. Pool workers call this to recycle a VM between batches.
+  /// (releasing any objects retained by an Invoke that threw), the recycle
+  /// table and the profile, so the VM holds no allocator memory. Pool
+  /// workers call this to recycle a VM between batches.
   void Reset();
 
  private:
@@ -123,8 +135,16 @@ class VirtualMachine {
                       runtime::ObjectRef* final_result, bool* done);
 
   void RunPacked(const Instruction& inst, Frame& frame);
-  /// Resolves exec_'s packed table into resolved_ (one slot per entry).
-  void ResolvePacked();
+  /// Builds the per-executable state: resolves exec_'s packed table into
+  /// resolved_, lays out the recycle table and builds the constant objects.
+  void Bind();
+  /// The recycle-table slot of the instruction at `frame`'s pc.
+  runtime::ObjectRef& RecycleSlot(const Frame& frame) {
+    return recycled_[func_base_[frame.func_index] + frame.pc];
+  }
+  /// Drops every recycle-table entry the escaping result still references.
+  void EvictEscaped();
+  void ClearRecycled();
 
   /// A packed-table entry's kernel or shape function. Null until the name
   /// is registered; RunPacked then looks it up (and throws if absent).
@@ -144,6 +164,17 @@ class VirtualMachine {
   /// Kernel argument lists, refilled per packed call and emptied after it
   /// (so they keep their capacity but no tensor).
   std::vector<runtime::NDArray> packed_inputs_, packed_outputs_;
+  /// Flat index of each function's first instruction: (function, pc) maps
+  /// to func_base_[function] + pc in recycled_ and consti_.
+  std::vector<size_t> func_base_;
+  /// Recycle table: the StorageObj of each AllocStorage and the shape tensor
+  /// of each ShapeOf from its last execution (null for other instructions
+  /// and after eviction).
+  std::vector<runtime::ObjectRef> recycled_;
+  /// Read-only constant objects: one per exec_->constants entry, and one
+  /// int64 scalar per LoadConsti instruction (by flat index).
+  std::vector<runtime::ObjectRef> constants_;
+  std::vector<runtime::ObjectRef> consti_;
 };
 
 }  // namespace vm

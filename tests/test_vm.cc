@@ -1,11 +1,14 @@
 // VM tests: individual instructions, control flow, closures, ADTs,
-// per-executable dispatch ownership, serialization round-trips, and the
-// profiler.
+// per-executable dispatch ownership, serialization round-trips, the
+// profiler, and the recycle table.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "src/codegen/dispatch.h"
 #include "src/core/compiler.h"
@@ -416,11 +419,15 @@ TEST(VMRegisters, KillRecyclesRegisters) {
 // ---- packed-call resolution, dead result registers, packed-call profile ------
 
 /// The three paper models, compiled as the serving layer compiles them
-/// (the LSTM with its batched and single-step twins), plus one input each.
+/// (the LSTM with its batched and single-step twins), plus one input each
+/// and a generator of inputs of any size (sequence length, tree leaves,
+/// token count).
 struct PaperModel {
   std::string name;
   std::shared_ptr<vm::Executable> exec;
   std::vector<runtime::ObjectRef> args;
+  std::function<std::vector<runtime::ObjectRef>(int64_t, support::Rng&)>
+      make_args;
 };
 
 std::vector<PaperModel> PaperModels() {
@@ -434,18 +441,27 @@ std::vector<PaperModel> PaperModels() {
     auto model = models::BuildLSTM(config);
     core::CompileOptions options;
     options.batched_entries = {model.batched_spec};
-    NDArray x = models::RandomSequence(6, config.input_size, rng);
+    auto make_args = [width = config.input_size](int64_t len,
+                                                 support::Rng& r) {
+      NDArray x = models::RandomSequence(len, width, r);
+      return std::vector<runtime::ObjectRef>{
+          MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))};
+    };
     out.push_back({"lstm", core::Compile(model.module, options).executable,
-                   {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(6))}});
+                   make_args(6, rng), make_args});
   }
   {
     models::TreeLSTMConfig config;
     config.input_size = 10;
     config.hidden_size = 12;
     auto model = models::BuildTreeLSTM(config);
-    auto tree = models::RandomTree(5, config.input_size, rng);
+    auto make_args = [width = config.input_size](int64_t leaves,
+                                                 support::Rng& r) {
+      auto tree = models::RandomTree(static_cast<int>(leaves), width, r);
+      return std::vector<runtime::ObjectRef>{models::TreeToObject(*tree)};
+    };
     out.push_back({"tree_lstm", core::Compile(model.module).executable,
-                   {models::TreeToObject(*tree)}});
+                   make_args(5, rng), make_args});
   }
   {
     models::BERTConfig config;
@@ -455,9 +471,13 @@ std::vector<PaperModel> PaperModels() {
     config.ffn_hidden = 64;
     config.vocab = 50;
     auto model = models::BuildBERT(config);
-    auto ids = models::RandomTokenIds(7, config.vocab, rng);
+    auto make_args = [vocab = config.vocab](int64_t len, support::Rng& r) {
+      auto ids = models::RandomTokenIds(len, vocab, r);
+      return std::vector<runtime::ObjectRef>{
+          MakeTensor(NDArray::FromVector(ids, {len}))};
+    };
     out.push_back({"bert", core::Compile(model.module).executable,
-                   {MakeTensor(NDArray::FromVector(ids, {7}))}});
+                   make_args(7, rng), make_args});
   }
   return out;
 }
@@ -569,6 +589,350 @@ TEST(VM, AlternatingRebindResolvesEachPackedTable) {
     for (size_t i = 0; i < rows.size(); ++i) {
       if (rows[i].calls > 0) EXPECT_EQ(rows[i].name, table[i].name);
     }
+  }
+}
+
+// ---- recycle table: storage and shape tensors reused across invocations ----
+
+using runtime::ObjectRef;
+
+/// Bitwise equality of two results: tensors by bits, ADTs by tag and fields.
+bool SameObjectBits(const ObjectRef& a, const ObjectRef& b) {
+  if (a->tag() != b->tag()) return false;
+  if (a->tag() == runtime::ObjectTag::kTensor) {
+    return SameBits(AsTensor(a), AsTensor(b));
+  }
+  if (a->tag() != runtime::ObjectTag::kADT) return false;
+  const runtime::ADTObj* x = runtime::AsADT(a);
+  const runtime::ADTObj* y = runtime::AsADT(b);
+  if (x->ctor_tag != y->ctor_tag || x->fields.size() != y->fields.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < x->fields.size(); ++i) {
+    if (!SameObjectBits(x->fields[i], y->fields[i])) return false;
+  }
+  return true;
+}
+
+/// A deep copy of a result (tensors and ADTs), sharing no buffer with it.
+ObjectRef DeepCopy(const ObjectRef& obj) {
+  if (obj->tag() == runtime::ObjectTag::kTensor) {
+    const NDArray& t = AsTensor(obj);
+    return MakeTensor(t.CopyTo(t.device()));
+  }
+  const runtime::ADTObj* adt = runtime::AsADT(obj);
+  std::vector<ObjectRef> fields;
+  for (const ObjectRef& f : adt->fields) fields.push_back(DeepCopy(f));
+  return runtime::MakeADT(adt->ctor_tag, std::move(fields));
+}
+
+/// The continuously served model (LSTM 64/128 with its single-step twin),
+/// compiled as the serving layer compiles it.
+struct StepModel {
+  std::shared_ptr<vm::Executable> exec;
+  vm::BatchedEntrySpec spec;
+};
+
+StepModel ServedStepModel() {
+  models::LSTMConfig config;
+  config.input_size = 64;
+  config.hidden_size = 128;
+  config.emit_batched = true;
+  auto model = models::BuildLSTM(config);
+  core::CompileOptions options;
+  options.batched_entries = {model.batched_spec};
+  return {core::Compile(model.module, options).executable, model.batched_spec};
+}
+
+std::vector<ObjectRef> ZeroStates(const StepModel& m, int64_t slots) {
+  std::vector<ObjectRef> states;
+  for (int32_t s = 0; s < m.spec.num_state_args; ++s) {
+    NDArray state = NDArray::Empty({slots, m.spec.state_width},
+                                   DataType::Float32());
+    state.Fill(0.0);
+    states.push_back(MakeTensor(state));
+  }
+  return states;
+}
+
+/// One step's arguments at `slots` rows: a random x_t, a random active mask
+/// (row 0 always live) and `states`.
+std::vector<ObjectRef> StepArgs(const StepModel& m,
+                                const std::vector<ObjectRef>& states,
+                                int64_t slots, support::Rng& rng) {
+  NDArray active = NDArray::Empty({slots, 1}, DataType::Int64());
+  for (int64_t i = 0; i < slots; ++i) {
+    active.data<int64_t>()[i] = (i == 0 || rng.Uniform() < 0.75) ? 1 : 0;
+  }
+  std::vector<ObjectRef> args = {
+      MakeTensor(models::RandomSequence(slots, m.spec.feature_width, rng)),
+      MakeTensor(active)};
+  args.insert(args.end(), states.begin(), states.end());
+  return args;
+}
+
+std::vector<ObjectRef> StatesOf(const ObjectRef& result) {
+  return runtime::AsADT(result)->fields;
+}
+
+TEST(VMRecycle, WarmServedStepAllocatesOnlyItsReturnedStates) {
+  // The served @main_step at 4 slots runs 14 AllocStorage and 16 ShapeOf.
+  // Once warm, only the storage of the two returned states (which escape
+  // with the result) is allocated again; every temporary and shape tensor
+  // is reused, and nothing goes through the global naive allocator.
+  StepModel m = ServedStepModel();
+  ASSERT_EQ(m.spec.num_state_args, 2);
+  runtime::PoolingAllocator pool;
+  runtime::Allocator* naive = runtime::GlobalNaiveAllocator();
+  vm::VirtualMachine machine(m.exec, &pool);
+  support::Rng rng(11);
+  std::vector<ObjectRef> states = ZeroStates(m, 4);
+  for (int step = 0; step < 12; ++step) {
+    std::vector<ObjectRef> args = StepArgs(m, states, 4, rng);
+    int64_t pool_calls = pool.stats().alloc_calls;
+    int64_t naive_calls = naive->stats().alloc_calls;
+    ObjectRef result = machine.Invoke(m.spec.step_function, std::move(args));
+    if (step >= 2) {
+      EXPECT_EQ(pool.stats().alloc_calls - pool_calls, 2) << "step " << step;
+      EXPECT_EQ(naive->stats().alloc_calls - naive_calls, 0)
+          << "step " << step;
+    }
+    states = StatesOf(result);
+  }
+}
+
+TEST(VMRecycle, HeldResultsAreNeverOverwritten) {
+  // A result kept by the caller must not be recycled by later invocations,
+  // whether the caller passes it back in (the step states) or not.
+  StepModel m = ServedStepModel();
+  vm::VirtualMachine machine(m.exec);
+  support::Rng rng(12);
+  std::vector<ObjectRef> states = ZeroStates(m, 4);
+  for (int k = 0; k < 6; ++k) {
+    ObjectRef held = machine.Invoke(m.spec.step_function,
+                                    StepArgs(m, states, 4, rng));
+    ObjectRef snapshot = DeepCopy(held);
+    states = StatesOf(held);
+    for (int j = 1; j <= 3; ++j) {
+      states = StatesOf(machine.Invoke(m.spec.step_function,
+                                       StepArgs(m, states, 4, rng)));
+    }
+    EXPECT_TRUE(SameObjectBits(held, snapshot)) << "invocation " << k;
+  }
+  for (const PaperModel& model : PaperModels()) {
+    vm::VirtualMachine vm_model(model.exec);
+    ObjectRef held = vm_model.Invoke("main", model.args);
+    ObjectRef snapshot = DeepCopy(held);
+    for (int j = 0; j < 3; ++j) {
+      vm_model.Invoke("main", model.make_args(4 + j, rng));
+      vm_model.Invoke("main", model.args);
+    }
+    EXPECT_TRUE(SameObjectBits(held, snapshot)) << model.name;
+  }
+}
+
+TEST(VMRecycle, ResultsReleasedOnAnotherThread) {
+  // Results are read and dropped by a consumer thread while the VM keeps
+  // invoking. Each result gets its own entry, published with a release
+  // store, and the VM allocates through a NaiveAllocator, whose frees take
+  // no lock: nothing in the test orders the consumer's reads before the
+  // VM's later steps, so under TSan a VM write to a buffer the consumer
+  // still holds is reported. Each result must still hold its bits when the
+  // consumer reads it.
+  constexpr int kSteps = 200;
+  StepModel m = ServedStepModel();
+  runtime::NaiveAllocator naive;
+  vm::VirtualMachine machine(m.exec, &naive);
+  std::vector<std::pair<ObjectRef, ObjectRef>> handed(kSteps);  // result, copy
+  std::atomic<int> published{0};
+  int mismatches = 0;
+  std::thread consumer([&] {
+    for (int i = 0; i < kSteps; ++i) {
+      while (published.load(std::memory_order_acquire) <= i) {
+        std::this_thread::yield();
+      }
+      if (!SameObjectBits(handed[i].first, handed[i].second)) ++mismatches;
+      handed[i] = {};  // the result is dropped here, on this thread
+    }
+  });
+  support::Rng rng(13);
+  std::vector<ObjectRef> states = ZeroStates(m, 4);
+  for (int step = 0; step < kSteps; ++step) {
+    ObjectRef result =
+        machine.Invoke(m.spec.step_function, StepArgs(m, states, 4, rng));
+    // Every fourth step restarts from zero states, so those results are
+    // held by the consumer alone.
+    states = step % 4 == 3 ? ZeroStates(m, 4) : StatesOf(result);
+    handed[step] = {result, DeepCopy(result)};
+    published.store(step + 1, std::memory_order_release);
+  }
+  consumer.join();
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(VMRecycle, ResetRebindAndSetAllocatorEmptyTheTable) {
+  StepModel m = ServedStepModel();
+  runtime::PoolingAllocator pool;
+  vm::VirtualMachine machine(m.exec, &pool);
+  support::Rng rng(14);
+  auto run_steps = [&] {
+    std::vector<ObjectRef> states = ZeroStates(m, 4);
+    for (int step = 0; step < 5; ++step) {
+      states = StatesOf(machine.Invoke(m.spec.step_function,
+                                       StepArgs(m, states, 4, rng)));
+    }
+  };  // every result is dropped here
+  run_steps();
+  EXPECT_GT(pool.stats().live_bytes, 0) << "the table held no temporaries";
+  machine.Reset();
+  EXPECT_EQ(pool.stats().live_bytes, 0);
+
+  run_steps();
+  EXPECT_GT(pool.stats().live_bytes, 0);
+  machine.Rebind(m.exec);
+  EXPECT_EQ(pool.stats().live_bytes, 0);
+
+  run_steps();
+  runtime::PoolingAllocator other;
+  machine.set_allocator(&other);
+  EXPECT_EQ(pool.stats().live_bytes, 0);
+  run_steps();
+  EXPECT_EQ(pool.stats().live_bytes, 0) << "old allocator used after switch";
+  EXPECT_GT(other.stats().live_bytes, 0);
+  machine.Reset();
+  EXPECT_EQ(other.stats().live_bytes, 0);
+}
+
+TEST(VMRecycle, DroppedResultsGoBackToTheAllocator) {
+  // The outermost Ret evicts what the result references, so the caller
+  // owns the result's buffers alone: dropping it frees them at once rather
+  // than leaving them to the table.
+  StepModel m = ServedStepModel();
+  runtime::PoolingAllocator pool;
+  vm::VirtualMachine machine(m.exec, &pool);
+  support::Rng rng(16);
+  for (int step = 0; step < 4; ++step) {
+    ObjectRef result = machine.Invoke(m.spec.step_function,
+                                      StepArgs(m, ZeroStates(m, 4), 4, rng));
+    std::set<const runtime::Buffer*> buffers;
+    int64_t result_bytes = 0;
+    for (const ObjectRef& state : StatesOf(result)) {
+      const runtime::Buffer* buffer = AsTensor(state).storage().get();
+      if (buffers.insert(buffer).second) {
+        result_bytes += static_cast<int64_t>(buffer->size);
+      }
+    }
+    int64_t live = pool.stats().live_bytes;
+    result = nullptr;
+    EXPECT_EQ(pool.stats().live_bytes, live - result_bytes) << "step " << step;
+  }
+}
+
+vm::Instruction Inst(vm::Opcode op, vm::RegName dst,
+                     std::vector<vm::RegName> args, int64_t imm0 = 0,
+                     int64_t imm1 = 0, int64_t imm2 = 0,
+                     std::vector<int64_t> extra = {}) {
+  vm::Instruction inst;
+  inst.op = op;
+  inst.dst = dst;
+  inst.args = std::move(args);
+  inst.imm0 = imm0;
+  inst.imm1 = imm1;
+  inst.imm2 = imm2;
+  inst.extra = std::move(extra);
+  return inst;
+}
+
+TEST(VMRecycle, ObjectsStillViewedByAnOuterFrameAreNotReused) {
+  // f(x, y, flag) drops its registers for one AllocStorage and one ShapeOf
+  // result while views of them stay live, then (flag == 1) recurses with
+  // other inputs, so the inner frame reaches both instructions while the
+  // table holds the only reference to the outer objects but not to their
+  // buffers. Reusing them would overwrite the outer frame's results.
+  using vm::Opcode;
+  const int64_t f32 = static_cast<int64_t>(runtime::DTypeCode::kFloat32);
+  auto exec = std::make_shared<vm::Executable>();
+  exec->constants = {runtime::ShapeTensor({1}),
+                     NDArray::FromVector<float>({5, 6, 7, 8}, {4}),
+                     NDArray::FromVector<float>({0, 0, 0, 0, 0, 0, 0}, {7})};
+  vm::PackedEntry add;
+  add.name = "add";
+  add.num_inputs = 2;
+  exec->packed = {add};
+  vm::VMFunction fn;
+  fn.name = "f";
+  fn.num_params = 3;  // x: f32[4], y: f32[n], flag: i64
+  fn.register_file_size = 13;
+  fn.instructions = {
+      Inst(Opcode::kAllocStorage, 3, {}, 16, f32,
+           vm::PackDevice(runtime::Device::CPU())),
+      Inst(Opcode::kAllocTensor, 4, {3}, 0, f32, 0, {4}),
+      Inst(Opcode::kMove, 3, {0}),  // the storage's register is dropped
+      Inst(Opcode::kInvokePacked, -1, {0, 0, 4}, 0, 2),  // r4 = x + x
+      Inst(Opcode::kShapeOf, 5, {1}),
+      Inst(Opcode::kLoadConst, 6, {}, 0),
+      Inst(Opcode::kReshapeTensor, 7, {5, 6}),  // a second view of r5
+      Inst(Opcode::kMove, 5, {0}),  // the shape tensor's register is dropped
+      Inst(Opcode::kAllocADT, 8, {4, 7}, -1),
+      Inst(Opcode::kLoadConsti, 9, {}, 1),
+      Inst(Opcode::kIf, -1, {2, 9}, 1, 6),
+      Inst(Opcode::kLoadConst, 10, {}, 1),
+      Inst(Opcode::kLoadConst, 11, {}, 2),
+      Inst(Opcode::kLoadConsti, 12, {}, 0),
+      Inst(Opcode::kInvoke, 9, {10, 11, 12}, 0),
+      Inst(Opcode::kAllocADT, 8, {8, 9}, -1),
+      Inst(Opcode::kRet, -1, {8}),
+  };
+  exec->functions = {fn};
+  exec->function_index["f"] = 0;
+  vm::VirtualMachine machine(exec);
+  for (int round = 0; round < 3; ++round) {
+    ObjectRef out = machine.Invoke(
+        "f", {MakeTensor(NDArray::FromVector<float>({1, 2, 3, 4}, {4})),
+              MakeTensor(NDArray::FromVector<float>({0, 0, 0, 0, 0}, {5})),
+              MakeTensor(NDArray::Scalar<int64_t>(1))});
+    const runtime::ADTObj* outer = runtime::AsADT(runtime::AsADT(out)->fields[0]);
+    const runtime::ADTObj* inner = runtime::AsADT(runtime::AsADT(out)->fields[1]);
+    for (int64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(AsTensor(outer->fields[0]).data<float>()[i], 2.0f * (i + 1));
+      EXPECT_EQ(AsTensor(inner->fields[0]).data<float>()[i], 2.0f * (i + 5));
+    }
+    EXPECT_EQ(AsTensor(outer->fields[1]).data<int64_t>()[0], 5);
+    EXPECT_EQ(AsTensor(inner->fields[1]).data<int64_t>()[0], 7);
+  }
+}
+
+TEST(VMRecycle, BackToBackInvocationsMatchAFreshVM) {
+  // 50 invocations with varying sizes, so storage sizes change from call to
+  // call (the size-mismatch fallback) and come back (reuse), each compared
+  // bitwise against a VM that has never run.
+  support::Rng rng(15);
+  for (const PaperModel& model : PaperModels()) {
+    vm::VirtualMachine machine(model.exec);
+    for (int i = 0; i < 50; ++i) {
+      auto args = model.make_args(rng.UniformInt(1, 9), rng);
+      ObjectRef got = machine.Invoke("main", args);
+      vm::VirtualMachine fresh(model.exec);
+      ObjectRef want = fresh.Invoke("main", args);
+      ASSERT_TRUE(SameObjectBits(got, want))
+          << model.name << " invocation " << i;
+    }
+  }
+  StepModel m = ServedStepModel();
+  vm::VirtualMachine machine(m.exec);
+  std::vector<ObjectRef> states;
+  int64_t slots = 0;
+  for (int i = 0; i < 50; ++i) {
+    if (i % 5 == 0) {  // change the slot count every five steps
+      slots = rng.UniformInt(1, 6);
+      states = ZeroStates(m, slots);
+    }
+    auto args = StepArgs(m, states, slots, rng);
+    ObjectRef got = machine.Invoke(m.spec.step_function, args);
+    vm::VirtualMachine fresh(m.exec);
+    ObjectRef want = fresh.Invoke(m.spec.step_function, args);
+    ASSERT_TRUE(SameObjectBits(got, want)) << "step " << i;
+    states = StatesOf(got);
   }
 }
 
